@@ -12,8 +12,10 @@
 //! * `BENCH_cluster.json` — end-to-end requests/sec of the `bnb-cluster`
 //!   discrete-event simulator over the registered scenario workloads,
 //!   next to the baseline recorded when the subsystem landed, plus the
-//!   sharded-scale cell (the 131072-server `giant` scenario on the
-//!   space-sharded engine, 1 vs 4 workers, host core count recorded);
+//!   sharded-scale cell (the 131072-server `giant` scenario serially and
+//!   on the space-sharded engine at 1 vs 4 workers, host core count
+//!   recorded) and the scheduler-scaling cell (the lazy board's hold
+//!   pair at 64 vs 131072 pending departures);
 //! * `BENCH_router.json` — routed placements/sec of the embeddable
 //!   `bnb-router` data plane under contention: 1–32 cloned
 //!   `RouterHandle`s routing d-choice d = 2 against one shared
@@ -31,7 +33,8 @@
 
 use bnb_cluster::{find_scenario, SimBuilder};
 use bnb_core::prelude::*;
-use bnb_distributions::Xoshiro256PlusPlus;
+use bnb_distributions::{ExponentialBlock, Xoshiro256PlusPlus};
+use bnb_queueing::LazyBoard;
 use bnb_router::{LoadView, Membership, PlacementSpec, Router, RouterBuilder};
 use bnb_telemetry::Registry;
 use std::io::Write;
@@ -303,40 +306,50 @@ fn measure_telemetry(requests: u64, budget: Duration) -> TelemetryBlock {
     }
 }
 
-/// The sharded-scale cell: the `giant` scenario (131072 servers) on
-/// the space-sharded engine at 1 and 4 workers, interleaved.
+/// The sharded-scale cell: the `giant` scenario (131072 servers)
+/// serially and on the space-sharded engine at 1 and 4 workers,
+/// interleaved.
 struct ShardedBlock {
     /// Cores the bench host exposes (`available_parallelism`), recorded
     /// so the speedup figure ships with its hardware context.
     cores: usize,
     requests_per_iter: u64,
+    /// The serial engine (fused loop) on the same fleet and budget: the
+    /// reference the sharded rates are read against.
+    serial_req_per_sec: f64,
     w1_req_per_sec: f64,
     w4_req_per_sec: f64,
 }
 
 /// Context for the sharded cell's speedup figure (embedded in the
 /// snapshot). Mirrors the router grid's single-core caveat.
-const SHARDED_NOTE: &str = "the giant cell runs the 131072-server scenario on the space-sharded \
-     engine at 1 and 4 workers, interleaved, best run each. On hosts with < 4 cores the ratio \
-     is not parallel scaling (same single-core caveat as the router contention grid) — any \
-     speedup measured there comes from space partitioning alone: four shards each walk a \
-     quarter of the slot state, so the per-shard working set drops into cache. The >= 2x \
-     gate arms only at cores >= 4, where real parallelism stacks on top of that locality win";
+const SHARDED_NOTE: &str = "the giant cell runs the 131072-server scenario serially (fused loop) \
+     and on the space-sharded engine at 1 and 4 workers, interleaved, best run each; the \
+     serial rate is the reference. On hosts with < 4 cores the four workers share fewer cores, \
+     so w4/w1 is not a clean parallel-scaling figure (same caveat as the router contention \
+     grid). The 2.26x once recorded here on a single-core host came from each shard's 4x \
+     smaller departure-board population, not from cache locality: a fixed 32-bag wheel \
+     re-swept an overflow vector holding most pending departures, a cost that grows with the \
+     population. Pinned to one core, w4/w1 went from ~1.45x to ~0.9x (medians of 5 runs at \
+     200k requests) when the wheel was sized from the slot count, with the partition \
+     unchanged. The >= 2x gate arms only at cores >= 4";
 
-/// Times the `giant` scenario on the sharded engine at 1 and then 4
-/// workers, strictly interleaved inside one budget (same
+/// Times the `giant` scenario serially and on the sharded engine at 1
+/// and then 4 workers, strictly interleaved inside one budget (same
 /// weather-sharing rationale as [`measure_telemetry`]), best single
 /// run each. Fleet construction is included, as in every cluster cell.
 fn measure_sharded(requests: u64, budget: Duration) -> ShardedBlock {
     let scenario = find_scenario("giant")
         .unwrap_or_else(|| unreachable!("giant scenario missing from registry"));
-    let run = |workers: usize| {
+    // `None` is the serial engine; `Some(w)` the sharded one at `w`
+    // workers.
+    let run = |workers: Option<usize>| {
         let start = Instant::now();
-        let metrics = SimBuilder::scenario(scenario, requests)
-            .seed(bnb_bench::BENCH_SEED)
-            .workers(workers)
-            .build()
-            .run();
+        let mut builder = SimBuilder::scenario(scenario, requests).seed(bnb_bench::BENCH_SEED);
+        if let Some(w) = workers {
+            builder = builder.workers(w);
+        }
+        let metrics = builder.build().run();
         let elapsed = start.elapsed();
         assert_eq!(
             metrics.completed + metrics.dropped + metrics.orphaned,
@@ -345,21 +358,74 @@ fn measure_sharded(requests: u64, budget: Duration) -> ShardedBlock {
         );
         requests as f64 / elapsed.as_secs_f64()
     };
-    run(1);
-    run(4);
+    run(None);
+    run(Some(1));
+    run(Some(4));
     let start = Instant::now();
-    let mut best_w1 = run(1);
-    let mut best_w4 = run(4);
+    let mut best_serial = run(None);
+    let mut best_w1 = run(Some(1));
+    let mut best_w4 = run(Some(4));
     while start.elapsed() < budget {
-        best_w1 = best_w1.max(run(1));
-        best_w4 = best_w4.max(run(4));
+        best_serial = best_serial.max(run(None));
+        best_w1 = best_w1.max(run(Some(1)));
+        best_w4 = best_w4.max(run(Some(4)));
     }
     ShardedBlock {
         cores: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
         requests_per_iter: requests,
+        serial_req_per_sec: best_serial,
         w1_req_per_sec: best_w1,
         w4_req_per_sec: best_w4,
     }
+}
+
+/// The scheduler-scaling cell: the lazy board's hold pair (pop the
+/// front, reschedule it one Exp(1) draw later) at a 64-server and a
+/// 131072-server population.
+struct SchedulerScalingBlock {
+    small_n: usize,
+    large_n: usize,
+    small_pair_ns: f64,
+    large_pair_ns: f64,
+}
+
+/// Largest tolerated ratio of the lazy board's hold-pair cost at
+/// 131072 pending departures to its cost at 64. A pair that touches
+/// one small bag per pop grows only with cache misses on the larger
+/// state (a few x); a lap too narrow for the population re-sweeps its
+/// overflow vector and grows with the population itself (a fixed
+/// 32-bag wheel measured 86x-320x).
+const SCHEDULER_SCALING_CEILING: f64 = 16.0;
+
+/// Times the lazy board's hold pair at `n` pending departures: the
+/// board is filled once and held at that population, one warm-up run
+/// of `pairs` pairs settles its geometry, then the best run of `pairs`
+/// pairs within the budget (same estimator as the cluster cells) is
+/// reported as ns per pair. The Exp draw is inside the timed loop.
+fn measure_hold_pair(n: usize, pairs: u64, budget: Duration) -> f64 {
+    let mut exp = ExponentialBlock::new(Xoshiro256PlusPlus::from_u64_seed(bnb_bench::BENCH_SEED));
+    let mut board = LazyBoard::with_slots(n);
+    for slot in 0..n as u32 {
+        board.schedule(slot, exp.next());
+    }
+    let mut iter = || {
+        for _ in 0..pairs {
+            let (t, s) = board.pop().expect("the hold loop keeps n pending");
+            board.schedule(s, t + exp.next());
+        }
+    };
+    iter();
+    let mut best = f64::INFINITY;
+    let start = Instant::now();
+    loop {
+        let run_start = Instant::now();
+        iter();
+        best = best.min(run_start.elapsed().as_secs_f64() * 1e9 / pairs as f64);
+        if start.elapsed() >= budget {
+            break;
+        }
+    }
+    best
 }
 
 /// Routed placements/sec of one router-contention cell.
@@ -587,6 +653,7 @@ fn render_cluster_json(
     cells: &[ClusterCell],
     telemetry: &TelemetryBlock,
     sharded: &ShardedBlock,
+    scaling: &SchedulerScalingBlock,
     mode: &str,
 ) -> String {
     let generated = SystemTime::now()
@@ -594,7 +661,7 @@ fn render_cluster_json(
         .map_or(0, |d| d.as_secs());
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema_version\": 4,\n");
+    out.push_str("  \"schema_version\": 5,\n");
     out.push_str(&format!("  \"mode\": \"{}\",\n", json_escape_free(mode)));
     out.push_str(&format!("  \"generated_unix_secs\": {generated},\n"));
     out.push_str(&format!("  \"seed\": {},\n", bnb_bench::BENCH_SEED));
@@ -629,18 +696,34 @@ fn render_cluster_json(
     // Schema 4: the sharded-scale cell — the giant (131072-server)
     // scenario on the space-sharded engine at 1 vs 4 workers, with the
     // host's core count recorded next to the ratio (see SHARDED_NOTE).
+    // Schema 5 adds the serial engine's rate on the same fleet.
     out.push_str(&format!(
         "  \"sharded\": {{\"scenario\": \"giant\", \"cores\": {}, \
          \"requests_per_iter\": {}, \
+         \"req_per_sec_serial\": {:.4e}, \
          \"req_per_sec_w1\": {:.4e}, \
          \"req_per_sec_w4\": {:.4e}, \
          \"speedup_w4_over_w1\": {:.3}, \
          \"note\": \"{SHARDED_NOTE}\"}},\n",
         sharded.cores,
         sharded.requests_per_iter,
+        sharded.serial_req_per_sec,
         sharded.w1_req_per_sec,
         sharded.w4_req_per_sec,
         sharded.w4_req_per_sec / sharded.w1_req_per_sec,
+    ));
+    // Schema 5: the scheduler-scaling cell — the lazy board's hold pair
+    // at a small and the giant population, and their ratio (gated by
+    // `--floor` at SCHEDULER_SCALING_CEILING).
+    out.push_str(&format!(
+        "  \"scheduler_scaling\": {{\"scheduler\": \"lazy\", \
+         \"pair_ns_n{}\": {:.1}, \"pair_ns_n{}\": {:.1}, \
+         \"large_over_small\": {:.2}, \"ceiling\": {SCHEDULER_SCALING_CEILING:.1}}},\n",
+        scaling.small_n,
+        scaling.small_pair_ns,
+        scaling.large_n,
+        scaling.large_pair_ns,
+        scaling.large_pair_ns / scaling.small_pair_ns,
     ));
     out.push_str("  \"results\": [\n");
     for (i, c) in cells.iter().enumerate() {
@@ -882,11 +965,34 @@ fn main() -> ExitCode {
     };
     let sharded = measure_sharded(sharded_requests, sharded_budget);
     println!(
-        "cluster/sharded giant           w1 {:>10.3e} req/s, w4 {:>10.3e} req/s ({:.2}x on {} core(s))",
+        "cluster/sharded giant           serial {:>10.3e} req/s, w1 {:>10.3e} req/s, \
+         w4 {:>10.3e} req/s ({:.2}x on {} core(s))",
+        sharded.serial_req_per_sec,
         sharded.w1_req_per_sec,
         sharded.w4_req_per_sec,
         sharded.w4_req_per_sec / sharded.w1_req_per_sec,
         sharded.cores,
+    );
+
+    // The scheduler-scaling cell: the lazy board's hold pair at 64 and
+    // at 131072 pending departures.
+    let (pairs, scaling_budget) = if check {
+        (100_000u64, Duration::from_millis(30))
+    } else {
+        (400_000u64, Duration::from_millis(1000))
+    };
+    let (small_n, large_n) = (64, 131_072);
+    let scaling = SchedulerScalingBlock {
+        small_n,
+        large_n,
+        small_pair_ns: measure_hold_pair(small_n, pairs, scaling_budget),
+        large_pair_ns: measure_hold_pair(large_n, pairs, scaling_budget),
+    };
+    println!(
+        "scheduler/lazy hold pair        n={small_n} {:.1} ns, n={large_n} {:.1} ns ({:.2}x)",
+        scaling.small_pair_ns,
+        scaling.large_pair_ns,
+        scaling.large_pair_ns / scaling.small_pair_ns,
     );
 
     // The router contention grid: the same fleet shape, routed through
@@ -970,6 +1076,20 @@ fn main() -> ExitCode {
             );
             failed = true;
         }
+        // The scheduler-scaling gate: the lazy board's hold pair at the
+        // giant population may cost at most SCHEDULER_SCALING_CEILING x
+        // its cost at 64. Both sides are measured in this invocation,
+        // so host speed cancels; a breach means the pair grows with the
+        // population again (a wheel too narrow for it), not noise.
+        let scaling_ratio = scaling.large_pair_ns / scaling.small_pair_ns;
+        if scaling_ratio > SCHEDULER_SCALING_CEILING {
+            eprintln!(
+                "FLOOR VIOLATION: lazy hold pair at n={} costs {:.1} ns, {scaling_ratio:.1}x \
+                 its {:.1} ns at n={} (ceiling {SCHEDULER_SCALING_CEILING}x)",
+                scaling.large_n, scaling.large_pair_ns, scaling.small_pair_ns, scaling.small_n
+            );
+            failed = true;
+        }
         if let Some(single) = router_cells.iter().find(|c| c.threads == 1) {
             let min = ratio * sim_path;
             if single.routes_per_sec < min {
@@ -1001,7 +1121,7 @@ fn main() -> ExitCode {
         (&out_path, render_json(&cells, mode)),
         (
             &cluster_out_path,
-            render_cluster_json(&cluster_cells, &telemetry, &sharded, mode),
+            render_cluster_json(&cluster_cells, &telemetry, &sharded, &scaling, mode),
         ),
         (
             &router_out_path,

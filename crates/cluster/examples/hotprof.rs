@@ -4,8 +4,9 @@
 //! cargo run --release -p bnb-cluster --example hotprof
 //! ```
 //!
-//! Times each hot-path layer in isolation (scheduler hold pattern,
-//! fleet join/depart, d = 2 placement, arrival generation, exponential
+//! Times each hot-path layer in isolation (scheduler hold pattern at
+//! 64 pending departures, and the lazy board's at 131072, fleet
+//! join/depart, d = 2 placement, arrival generation, exponential
 //! block, ring successor, metrics assembly) next to the end-to-end
 //! scenarios on the fused, generic and heap-oracle drive loops. Each
 //! figure is the **best of five** runs — on shared hosts whose speed
@@ -118,6 +119,25 @@ fn main() {
         }
         n
     });
+    // The same pair at the giant fleet's population: one board filled
+    // once with 131072 pending departures (the wheel sized from that
+    // slot count), held at that population across runs, so the cell
+    // times pairs, not the fill.
+    {
+        let n = 131_072u32;
+        let mut q = LazyBoard::with_slots(n as usize);
+        for i in 0..n {
+            q.schedule(i, exp.next());
+        }
+        time("lazy hold(131072) sched+pop", || {
+            let pairs = 2_000_000 / scale;
+            for _ in 0..pairs {
+                let (t, s) = q.pop().unwrap();
+                q.schedule(s, t + exp.next());
+            }
+            pairs
+        });
+    }
     time("board hold(64) sched+pop", || {
         let mut q = SlotBoard::new(64);
         for i in 0..64u32 {

@@ -22,12 +22,25 @@
 //!   a `(time bits, slot)` candidate — never a sorted insert, never a
 //!   memmove — to the bag of its *global* bag index `g`: the key's
 //!   monotone time bits shifted right (the board's `shift` below),
-//!   pure integer, monotone in the time. A cursor lap covers
-//!   `BAGS` consecutive indices mapped onto physical bags by `g mod
-//!   BAGS`; candidates beyond the lap park in an overflow vector, and
+//!   pure integer, monotone in the time. A cursor lap covers one
+//!   index per physical bag, mapped onto the bags by `g mod bags`;
+//!   candidates beyond the lap park in an overflow vector, and
 //!   candidates behind the cursor (a schedule into the past) drop into
 //!   the cursor's own bag, which therefore may mix indices — harmless,
 //!   because ordering never relies on bag membership alone.
+//! * **The wheel is as wide as the slot universe needs.** The bag
+//!   count is `next_pow2(slots / TARGET_FILL)`, never below `MIN_BAGS`
+//!   = 32, so fleets of up to 1024 slots keep a 32-bag wheel. At about
+//!   `GSLOT_FILL` head entries per index, a lap then spans roughly a
+//!   quarter of the largest population the universe can hold (one
+//!   pending entry per slot), whatever the fleet size, and the overflow
+//!   vector stays the rare far-future path. A fixed-width lap would
+//!   park almost every candidate of a large fleet there and re-sweep
+//!   it every few hundred pops — the superlinear cost a calendar queue
+//!   avoids by sizing its buckets from the population. The width is
+//!   set when the universe is sized ([`LazyBoard::with_slots`]) and
+//!   re-derived, with a full redistribution, when grow-on-demand
+//!   enlarges it.
 //! * **`pop` is a branchless argmin over one small bag, validated
 //!   against the authoritative array.** The cursor's bag holds every
 //!   candidate that could be the front (see the invariant below); a
@@ -82,9 +95,10 @@ use crate::stats::LazyStats;
 /// the sequence half is a counter far from `u64::MAX`).
 const IDLE_KEY: u128 = u128::MAX;
 
-/// Physical bags one cursor lap folds onto. A power of two, so the
-/// fold is a mask.
-const BAGS: usize = 32;
+/// Fewest physical bags a cursor lap folds onto; the wheel grows past
+/// it with the slot universe (see [`wheel_bags`]). Bag counts are
+/// powers of two, so the fold is a mask.
+const MIN_BAGS: usize = 32;
 
 /// How many of the earliest live entries inform the shift estimate at
 /// a rebuild, and how many pops must separate two rebuilds (the
@@ -108,6 +122,13 @@ const INITIAL_SHIFT: u32 = 48;
 /// no shift can spread — degrade to a bounded scan instead of
 /// rebuild thrash.
 const BAG_CAP: usize = 16;
+
+/// Wheel width for a universe of `slots`: about one bag per
+/// [`TARGET_FILL`] slots, rounded up to a power of two, floored at
+/// [`MIN_BAGS`].
+fn wheel_bags(slots: usize) -> usize {
+    (slots / TARGET_FILL).next_power_of_two().max(MIN_BAGS)
+}
 
 /// Remaps an `f64`'s bits so unsigned integer order matches
 /// `total_cmp` order (the classic radix-sort float map — shared idiom
@@ -155,7 +176,9 @@ pub struct LazyBoard {
     /// Entries of one bag share a global bag index (plus any
     /// behind-cursor candidates dumped into the cursor's bag); pops
     /// argmin-scan the cursor's bag only.
-    bags: [Vec<(u64, u32)>; BAGS],
+    bags: Box<[Vec<(u64, u32)>]>,
+    /// `bags.len() - 1`: folds a global bag index onto its bag.
+    mask: usize,
     /// Candidates whose global bag index lies beyond the current lap,
     /// unsorted. Swept into bags (and stale-swept) at lap refills.
     over: Vec<(u64, u32)>,
@@ -201,10 +224,11 @@ impl Default for LazyBoard {
     fn default() -> Self {
         LazyBoard {
             keys: Vec::new(),
-            bags: std::array::from_fn(|_| Vec::new()),
+            bags: vec![Vec::new(); MIN_BAGS].into_boxed_slice(),
+            mask: MIN_BAGS - 1,
             over: Vec::new(),
             glob: 0,
-            lap_end: BAGS as u64,
+            lap_end: MIN_BAGS as u64,
             shift: INITIAL_SHIFT,
             front: (IDLE_KEY, 0, 0),
             near: 0,
@@ -227,6 +251,7 @@ impl LazyBoard {
 
     /// Creates a board pre-sized for slots `0..slots`, all idle — the
     /// embedding form: one allocation, then the hot path never grows.
+    /// The wheel is sized from `slots` here (see the module docs).
     #[must_use]
     pub fn with_slots(slots: usize) -> Self {
         let mut board = LazyBoard::new();
@@ -262,7 +287,32 @@ impl LazyBoard {
     #[inline]
     fn ensure_slot(&mut self, slot: usize) {
         if slot >= self.keys.len() {
-            self.keys.resize(slot + 1, IDLE_KEY);
+            self.grow(slot + 1);
+        }
+    }
+
+    /// Enlarges the slot universe to `slots` and, when that changes the
+    /// wheel width, re-lays the wheel: fresh bags, and every live entry
+    /// redistributed through [`LazyBoard::rebuild`] (old candidates,
+    /// stale ones included, are dropped wholesale). Widths only change
+    /// at power-of-two universe sizes, so one-slot-at-a-time growth
+    /// pays the `O(slots)` re-lay amortised `O(1)`.
+    #[cold]
+    fn grow(&mut self, slots: usize) {
+        self.keys.resize(slots, IDLE_KEY);
+        let bags = wheel_bags(slots);
+        if bags == self.bags.len() {
+            return;
+        }
+        self.bags = vec![Vec::new(); bags].into_boxed_slice();
+        self.mask = bags - 1;
+        if self.len > 0 {
+            self.rebuild();
+        } else {
+            self.over.clear();
+            self.near = 0;
+            self.front = (IDLE_KEY, 0, 0);
+            self.lap_end = self.glob + bags as u64;
         }
     }
 
@@ -297,7 +347,7 @@ impl LazyBoard {
         if g < self.lap_end {
             // In-lap (or behind-cursor) candidate: append to its bag —
             // no sorted insert, no shift of anything.
-            let b = (g.max(self.glob) as usize) & (BAGS - 1);
+            let b = (g.max(self.glob) as usize) & self.mask;
             self.bags[b].push((hi, slot));
             self.near += 1;
             // A candidate beating the cached front always lands in the
@@ -321,7 +371,7 @@ impl LazyBoard {
     #[inline]
     fn locate(&mut self) -> (u128, u32, u32) {
         loop {
-            let b = (self.glob as usize) & (BAGS - 1);
+            let b = (self.glob as usize) & self.mask;
             if self.bags[b].is_empty() {
                 self.advance();
                 continue;
@@ -422,7 +472,7 @@ impl LazyBoard {
     #[cold]
     fn refill(&mut self) {
         loop {
-            self.lap_end = self.glob + BAGS as u64;
+            self.lap_end = self.glob + self.bags.len() as u64;
             let mut min_far = u64::MAX;
             let mut moved = false;
             let mut i = 0;
@@ -436,7 +486,7 @@ impl LazyBoard {
                 }
                 let g = h >> self.shift;
                 if g < self.lap_end {
-                    let b = (g.max(self.glob) as usize) & (BAGS - 1);
+                    let b = (g.max(self.glob) as usize) & self.mask;
                     self.bags[b].push((h, s));
                     self.near += 1;
                     self.over.swap_remove(i);
@@ -458,7 +508,8 @@ impl LazyBoard {
     /// redistributes every live entry (dropping all stale candidates
     /// wholesale) — the escape hatch for an anchor shift that drifted
     /// orders of magnitude off the actual event gaps, paid only when a
-    /// bag outgrows [`BAG_CAP`], never on the steady-state path.
+    /// bag outgrows [`BAG_CAP`] or grow-on-demand widens the wheel,
+    /// never on the steady-state path.
     #[cold]
     fn rebuild(&mut self) {
         self.stats.rebuild_scans += 1;
@@ -486,7 +537,7 @@ impl LazyBoard {
         let spread = (scratch[k - 1] - scratch[0]) / (k as u64 / GSLOT_FILL).max(1);
         self.shift = spread.max(2).ilog2();
         self.glob = scratch[0] >> self.shift;
-        self.lap_end = self.glob + BAGS as u64;
+        self.lap_end = self.glob + self.bags.len() as u64;
         self.scratch = scratch;
         for bag in &mut self.bags {
             bag.clear();
@@ -499,7 +550,7 @@ impl LazyBoard {
                 let hi = (key >> 64) as u64;
                 let g = hi >> self.shift;
                 if g < self.lap_end {
-                    let b = (g as usize) & (BAGS - 1);
+                    let b = (g as usize) & self.mask;
                     self.bags[b].push((hi, slot as u32));
                     self.near += 1;
                 } else {
@@ -521,7 +572,7 @@ impl LazyBoard {
             // at the same time — changes the sequence half and fails
             // the compare; a smaller newcomer replaced the cache in
             // `schedule`).
-            let b = (self.glob as usize) & (BAGS - 1);
+            let b = (self.glob as usize) & self.mask;
             if self.bags[b].get(p as usize) == Some(&((key >> 64) as u64, s))
                 && self.keys[s as usize] == key
             {
@@ -535,7 +586,7 @@ impl LazyBoard {
     /// [`LazyBoard::front`] — and marks its slot idle.
     #[inline]
     fn take_front(&mut self, key: u128, slot: u32, pos: u32) -> (Time, u32) {
-        let b = (self.glob as usize) & (BAGS - 1);
+        let b = (self.glob as usize) & self.mask;
         debug_assert_eq!(self.bags[b][pos as usize], (((key >> 64) as u64), slot));
         self.bags[b].swap_remove(pos as usize);
         self.near -= 1;
@@ -750,13 +801,51 @@ mod tests {
     }
 
     #[test]
+    fn wheel_width_scales_with_the_slot_universe() {
+        for (slots, bags) in [
+            (0, 32),
+            (1, 32),
+            (64, 32),
+            (1024, 32),
+            (2048, 64),
+            (4096, 128),
+            (5000, 256),
+            (131_072, 4096),
+        ] {
+            assert_eq!(LazyBoard::with_slots(slots).bags.len(), bags, "{slots}");
+        }
+        // Grow-on-demand widens the wheel at the same thresholds, and
+        // the re-lay keeps every pending entry in order.
+        let mut b = LazyBoard::new();
+        assert_eq!(b.bags.len(), 32);
+        b.schedule(1023, 3.0);
+        b.schedule(7, 1.0);
+        assert_eq!(b.bags.len(), 32, "1024 slots stay on the floor");
+        b.schedule(2047, 2.0);
+        assert_eq!(b.bags.len(), 64);
+        b.schedule(9999, 0.5);
+        assert_eq!(b.bags.len(), 512);
+        assert_eq!(b.pop(), Some((0.5, 9999)));
+        assert_eq!(b.pop(), Some((1.0, 7)));
+        assert_eq!(b.pop(), Some((2.0, 2047)));
+        assert_eq!(b.pop(), Some((3.0, 1023)));
+        assert_eq!(b.pop(), None);
+        // An empty board widens without a rebuild.
+        let mut e = LazyBoard::new();
+        e.schedule(70_000, 1.0);
+        assert_eq!(e.bags.len(), 4096);
+        assert_eq!(e.stats().rebuild_scans, 0);
+        assert_eq!(e.pop(), Some((1.0, 70_000)));
+    }
+
+    #[test]
     fn reschedule_storm_is_rediscovered() {
         // Spread population, pop a stretch, then reschedule a block of
         // still-pending slots to the far future: their old candidates
         // must die lazily and the board must keep exact time order
         // throughout — lap refills included.
         let n = 4 * TARGET_FILL;
-        let drained = BAGS + 2;
+        let drained = MIN_BAGS + 2;
         let mut b = LazyBoard::with_slots(n);
         for s in 0..n {
             b.schedule(s as u32, s as f64);

@@ -20,6 +20,12 @@
 //! (reschedule one slot repeatedly, exact same-time overwrites
 //! included), **tie storms** (many slots at one instant), and
 //! `pop_if_before` **window edges** (`bound == time` must not pop).
+//!
+//! The board sizes its wheel from the slot universe (one bag per ~32
+//! slots, never fewer than 32), so the drives run twice over: a small
+//! universe on the 32-bag floor, and a wide one whose populations of
+//! thousands of pending entries fill a 128-bag wheel and force lap
+//! refills and far-future jumps.
 
 use bnb_queueing::LazyBoard;
 use proptest::prelude::*;
@@ -27,9 +33,14 @@ use proptest::test_runner::TestCaseError;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Slot universe of every drive (the board also grows on demand; a
-/// fixed universe keeps overwrites frequent).
+/// Slot universe of the small drives (the board also grows on demand;
+/// a fixed universe keeps overwrites frequent). Well under 1024, so
+/// the board stays on its 32-bag floor.
 const SLOTS: usize = 48;
+
+/// Slot universe of the wide-wheel drives: 4096 slots is a 128-bag
+/// wheel, four times the floor.
+const WIDE_SLOTS: usize = 4096;
 
 /// Sequence value of an idle slot in the oracle's authoritative table.
 const IDLE: u64 = u64::MAX;
@@ -65,10 +76,10 @@ struct Oracle {
 }
 
 impl Oracle {
-    fn new() -> Self {
+    fn new(slots: usize) -> Self {
         Oracle {
             heap: BinaryHeap::new(),
-            current: vec![IDLE; SLOTS],
+            current: vec![IDLE; slots],
             next_seq: 0,
             len: 0,
         }
@@ -135,8 +146,16 @@ enum Op {
         width: f64,
         count: usize,
     },
-    /// Schedule a run of distinct slots at one exact instant.
-    TieStorm { first: u32, time: f64, count: usize },
+    /// Schedule a run of distinct slots at evenly spaced times from
+    /// `last_pop + base`: with `gap == 0` a tie storm (many slots at
+    /// one instant), otherwise the bulk fill that builds a large
+    /// pending population.
+    Spread {
+        first: u32,
+        base: f64,
+        gap: f64,
+        count: usize,
+    },
     /// Pop up to this many entries unconditionally.
     Pop(usize),
     /// Pop entries strictly before `last_pop + delta`, up to `max` —
@@ -160,8 +179,8 @@ fn time_strategy() -> impl Strategy<Value = f64> {
     ]
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    let slot = 0u32..SLOTS as u32;
+fn op_strategy(slots: usize) -> impl Strategy<Value = Op> {
+    let slot = 0u32..slots as u32;
     prop_oneof![
         (slot.clone(), time_strategy()).prop_map(|(s, t)| Op::Schedule(s, t)),
         (slot.clone(), time_strategy()).prop_map(|(s, t)| Op::Schedule(s, t)),
@@ -182,15 +201,46 @@ fn op_strategy() -> impl Strategy<Value = Op> {
                 count,
             }
         }),
-        (slot, 0.0f64..60.0, 1usize..24).prop_map(|(first, time, count)| Op::TieStorm {
+        (slot, 0.0f64..60.0, 1usize..24).prop_map(|(first, base, count)| Op::Spread {
             first,
-            time,
+            base,
+            gap: 0.0,
             count
         }),
         (0usize..6).prop_map(Op::Pop),
         (0usize..6).prop_map(Op::Pop),
         (0.0f64..30.0, 1usize..8).prop_map(|(delta, max)| Op::PopBefore { delta, max }),
         (0.0f64..30.0, 1usize..8).prop_map(|(delta, max)| Op::PopBefore { delta, max }),
+    ]
+}
+
+/// The wide-universe mix: the small drive's ops over 4096 slots plus
+/// bulk fills of up to 2000 slots and long pop runs, so the board
+/// holds thousands of pending entries spread over many laps. Fill gaps
+/// span micro-gaps (one bag overflows: geometry rebuild), unit-scale
+/// gaps (lap after lap of refills) and exact zeros (tie storms); the
+/// far-future times of [`time_strategy`] park whole cohorts beyond the
+/// lap for the cursor to jump to.
+fn wide_op_strategy() -> impl Strategy<Value = Op> {
+    let gap = prop_oneof![1e-7f64..1e-4, 0.001f64..2.0, 0.001f64..2.0, Just(0.0)];
+    prop_oneof![
+        op_strategy(WIDE_SLOTS),
+        op_strategy(WIDE_SLOTS),
+        op_strategy(WIDE_SLOTS),
+        (
+            0u32..WIDE_SLOTS as u32,
+            time_strategy(),
+            gap,
+            64usize..2_000
+        )
+            .prop_map(|(first, base, gap, count)| Op::Spread {
+                first,
+                base,
+                gap,
+                count
+            }),
+        (0usize..1_500).prop_map(Op::Pop),
+        (0.0f64..200.0, 1usize..1_500).prop_map(|(delta, max)| Op::PopBefore { delta, max }),
     ]
 }
 
@@ -222,9 +272,9 @@ fn check_pop(
 /// Drives the board and the oracle through one op sequence, asserting
 /// identical `(time, slot)` pop streams, identical peeks and live
 /// counts after every op, and an identical drain tail.
-fn assert_matches_oracle(ops: &[Op]) -> Result<(), TestCaseError> {
-    let mut board = LazyBoard::with_slots(SLOTS);
-    let mut oracle = Oracle::new();
+fn assert_matches_oracle(slots: usize, ops: &[Op]) -> Result<(), TestCaseError> {
+    let mut board = LazyBoard::with_slots(slots);
+    let mut oracle = Oracle::new(slots);
     let mut last_pop = 0.0f64;
     for (step, op) in ops.iter().enumerate() {
         match *op {
@@ -245,10 +295,15 @@ fn assert_matches_oracle(ops: &[Op]) -> Result<(), TestCaseError> {
                     oracle.schedule(slot, t);
                 }
             }
-            Op::TieStorm { first, time, count } => {
+            Op::Spread {
+                first,
+                base,
+                gap,
+                count,
+            } => {
                 for i in 0..count {
-                    let slot = (first + i as u32) % SLOTS as u32;
-                    let t = last_pop + time;
+                    let slot = (first + i as u32) % slots as u32;
+                    let t = last_pop + base + gap * i as f64;
                     board.schedule(slot, t);
                     oracle.schedule(slot, t);
                 }
@@ -306,9 +361,9 @@ proptest! {
     /// heap oracle's exact `(time, slot)` stream.
     #[test]
     fn lazy_board_matches_lazy_heap_oracle(
-        ops in prop::collection::vec(op_strategy(), 1..300)
+        ops in prop::collection::vec(op_strategy(SLOTS), 1..300)
     ) {
-        assert_matches_oracle(&ops)?;
+        assert_matches_oracle(SLOTS, &ops)?;
     }
 
     /// Sustained overwrite storms with no relief: one hot slot is
@@ -322,11 +377,11 @@ proptest! {
         let mut ops = Vec::new();
         for (&(slot, base, count), &p) in bursts.iter().zip(&drain_between) {
             ops.push(Op::OverwriteStorm { slot, base, width: 0.25, count });
-            ops.push(Op::TieStorm { first: slot, time: base, count: 6 });
+            ops.push(Op::Spread { first: slot, base, gap: 0.0, count: 6 });
             ops.push(Op::Pop(p));
         }
         ops.push(Op::Pop(10_000));
-        assert_matches_oracle(&ops)?;
+        assert_matches_oracle(SLOTS, &ops)?;
     }
 
     /// Entries pinned to the window edge: a monotone clock pops with
@@ -353,6 +408,48 @@ proptest! {
             ops.push(Op::PopBefore { delta: t, max: 2 });
         }
         ops.push(Op::Pop(10_000));
-        assert_matches_oracle(&ops)?;
+        assert_matches_oracle(SLOTS, &ops)?;
+    }
+}
+
+proptest! {
+    // Each wide case carries thousands of pending entries, so fewer
+    // cases buy the same coverage per second as the small drives.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The same oracle drive over a 4096-slot universe (a 128-bag
+    /// wheel): bulk fills build populations of thousands, so pops cross
+    /// many laps — overflow refills, far-future cursor jumps, geometry
+    /// rebuilds — amid the overwrite and tie storms.
+    #[test]
+    fn wide_wheel_matches_lazy_heap_oracle(
+        ops in prop::collection::vec(wide_op_strategy(), 1..60)
+    ) {
+        assert_matches_oracle(WIDE_SLOTS, &ops)?;
+    }
+
+    /// A full 4096-slot population drained through the wide wheel:
+    /// every slot scheduled at spread times, a block rescheduled far
+    /// into the future (parked beyond the lap, superseding candidates
+    /// already in bags), interleaved with tie storms, then everything
+    /// popped — lap refill after lap refill, and one jump to the
+    /// far-future cohort.
+    #[test]
+    fn wide_wheel_full_population_drains_exactly(
+        gap in prop_oneof![1e-6f64..1e-3, 0.01f64..1.0],
+        far in 1e6f64..1e12,
+        block in 0usize..WIDE_SLOTS,
+        ties in prop::collection::vec((0u32..WIDE_SLOTS as u32, 0.0f64..100.0), 0..8),
+        drain in 0usize..WIDE_SLOTS,
+    ) {
+        let mut ops = vec![Op::Spread { first: 0, base: 0.0, gap, count: WIDE_SLOTS }];
+        ops.push(Op::Pop(drain / 4));
+        ops.push(Op::Spread { first: block as u32, base: far, gap, count: WIDE_SLOTS / 4 });
+        for (first, time) in ties {
+            ops.push(Op::Spread { first, base: time, gap: 0.0, count: 64 });
+            ops.push(Op::Pop(drain / 8));
+        }
+        ops.push(Op::Pop(10 * WIDE_SLOTS));
+        assert_matches_oracle(WIDE_SLOTS, &ops)?;
     }
 }

@@ -14,8 +14,10 @@
 //!   next to the baseline recorded when the subsystem landed, plus the
 //!   sharded-scale cell (the 131072-server `giant` scenario serially and
 //!   on the space-sharded engine at 1 vs 4 workers, host core count
-//!   recorded) and the scheduler-scaling cell (the lazy board's hold
-//!   pair at 64 vs 131072 pending departures);
+//!   recorded), the scheduler-scaling cell (the lazy board's hold
+//!   pair at 64 vs 131072 pending departures) and the fleet-scaling
+//!   curve (serial d = 2 req/s on the two-class shape at n = 64 …
+//!   131072);
 //! * `BENCH_router.json` — routed placements/sec of the embeddable
 //!   `bnb-router` data plane under contention: 1–32 cloned
 //!   `RouterHandle`s routing d-choice d = 2 against one shared
@@ -31,11 +33,11 @@
 //!                                      # file cannot be produced)
 //! ```
 
-use bnb_cluster::{find_scenario, SimBuilder};
+use bnb_cluster::{find_scenario, ArrivalProcess, ClusterSpec, PlacementSpec, SimBuilder};
 use bnb_core::prelude::*;
 use bnb_distributions::{ExponentialBlock, Xoshiro256PlusPlus};
 use bnb_queueing::LazyBoard;
-use bnb_router::{LoadView, Membership, PlacementSpec, Router, RouterBuilder};
+use bnb_router::{LoadView, Membership, Router, RouterBuilder};
 use bnb_telemetry::Registry;
 use std::io::Write;
 use std::path::PathBuf;
@@ -428,6 +430,63 @@ fn measure_hold_pair(n: usize, pairs: u64, budget: Duration) -> f64 {
     best
 }
 
+/// The fleet-scaling curve: the serial engine's d = 2 rate on the
+/// two-class shape (half speed 1, half speed 8, Poisson at 0.9 of
+/// capacity, queues bounded at 64 — `two-class` and `giant` are its
+/// n = 64 and n = 131072 points) across fleet sizes.
+struct FleetScalingBlock {
+    /// Cores the bench host exposes (`available_parallelism`).
+    cores: usize,
+    requests_per_iter: u64,
+    /// `(n, best req/s)` per fleet size, smallest first.
+    points: Vec<(usize, f64)>,
+}
+
+/// Fleet sizes of the fleet-scaling curve.
+const FLEET_SCALING_NS: [usize; 4] = [64, 1_024, 16_384, 131_072];
+
+/// Times the serial engine at every [`FLEET_SCALING_NS`] size, the
+/// sizes interleaved within each of `runs` rounds so every size samples
+/// the same host weather, best run each. Only `Sim::run` is timed (fleet
+/// construction is outside the window), so the curve reads the serving
+/// loop's cost per request as the per-slot state outgrows the caches.
+fn measure_fleet_scaling(requests: u64, runs: usize) -> FleetScalingBlock {
+    let run = |n: usize| {
+        let speeds = CapacityVector::two_class(n / 2, 1, n - n / 2, 8);
+        let spec = ClusterSpec {
+            arrivals: ArrivalProcess::Poisson {
+                rate: 0.9 * speeds.total() as f64,
+            },
+            speeds,
+            placement: PlacementSpec::DChoice { d: 2 },
+            queue_capacity: Some(64),
+            churn: None,
+            requests,
+        };
+        let mut sim = SimBuilder::new(spec).seed(bnb_bench::BENCH_SEED).build();
+        let start = Instant::now();
+        let metrics = sim.run();
+        let elapsed = start.elapsed();
+        assert_eq!(
+            metrics.completed + metrics.dropped,
+            requests,
+            "fleet-scaling bench lost requests at n = {n}"
+        );
+        requests as f64 / elapsed.as_secs_f64()
+    };
+    let mut best = [0.0f64; FLEET_SCALING_NS.len()];
+    for _ in 0..runs {
+        for (b, &n) in best.iter_mut().zip(&FLEET_SCALING_NS) {
+            *b = b.max(run(n));
+        }
+    }
+    FleetScalingBlock {
+        cores: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
+        requests_per_iter: requests,
+        points: FLEET_SCALING_NS.iter().copied().zip(best).collect(),
+    }
+}
+
 /// Routed placements/sec of one router-contention cell.
 struct RouterCell {
     threads: usize,
@@ -654,6 +713,7 @@ fn render_cluster_json(
     telemetry: &TelemetryBlock,
     sharded: &ShardedBlock,
     scaling: &SchedulerScalingBlock,
+    fleet_scaling: &FleetScalingBlock,
     mode: &str,
 ) -> String {
     let generated = SystemTime::now()
@@ -661,7 +721,7 @@ fn render_cluster_json(
         .map_or(0, |d| d.as_secs());
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema_version\": 5,\n");
+    out.push_str("  \"schema_version\": 6,\n");
     out.push_str(&format!("  \"mode\": \"{}\",\n", json_escape_free(mode)));
     out.push_str(&format!("  \"generated_unix_secs\": {generated},\n"));
     out.push_str(&format!("  \"seed\": {},\n", bnb_bench::BENCH_SEED));
@@ -724,6 +784,26 @@ fn render_cluster_json(
         scaling.large_n,
         scaling.large_pair_ns,
         scaling.large_pair_ns / scaling.small_pair_ns,
+    ));
+    // Schema 6: the fleet-scaling curve — serial d = 2 req/s on the
+    // two-class shape per fleet size, and the smallest-over-largest
+    // slowdown.
+    let points: Vec<String> = fleet_scaling
+        .points
+        .iter()
+        .map(|(n, rps)| format!("\"req_per_sec_n{n}\": {rps:.4e}"))
+        .collect();
+    let (first, last) = (
+        fleet_scaling.points[0].1,
+        fleet_scaling.points[fleet_scaling.points.len() - 1].1,
+    );
+    out.push_str(&format!(
+        "  \"fleet_scaling\": {{\"shape\": \"two_class\", \"engine\": \"serial\", \"d\": 2, \
+         \"cores\": {}, \"requests_per_iter\": {}, {}, \"smallest_over_largest\": {:.2}}},\n",
+        fleet_scaling.cores,
+        fleet_scaling.requests_per_iter,
+        points.join(", "),
+        first / last,
     ));
     out.push_str("  \"results\": [\n");
     for (i, c) in cells.iter().enumerate() {
@@ -995,6 +1075,25 @@ fn main() -> ExitCode {
         scaling.large_pair_ns / scaling.small_pair_ns,
     );
 
+    // The fleet-scaling curve: the serial engine on the two-class shape
+    // from 64 to 131072 servers.
+    let (fleet_requests, fleet_runs) = if check {
+        (20_000u64, 1)
+    } else {
+        (1_000_000u64, 3)
+    };
+    let fleet_scaling = measure_fleet_scaling(fleet_requests, fleet_runs);
+    println!(
+        "cluster/fleet scaling two_class {} ({} core(s))",
+        fleet_scaling
+            .points
+            .iter()
+            .map(|(n, rps)| format!("n={n} {rps:.3e} req/s"))
+            .collect::<Vec<_>>()
+            .join(", "),
+        fleet_scaling.cores,
+    );
+
     // The router contention grid: the same fleet shape, routed through
     // 1-32 cloned handles over one epoch-published view, next to the
     // bare in-simulator placement path measured in the same window.
@@ -1121,7 +1220,14 @@ fn main() -> ExitCode {
         (&out_path, render_json(&cells, mode)),
         (
             &cluster_out_path,
-            render_cluster_json(&cluster_cells, &telemetry, &sharded, &scaling, mode),
+            render_cluster_json(
+                &cluster_cells,
+                &telemetry,
+                &sharded,
+                &scaling,
+                &fleet_scaling,
+                mode,
+            ),
         ),
         (
             &router_out_path,

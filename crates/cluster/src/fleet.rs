@@ -1,60 +1,148 @@
 //! The heterogeneous server fleet: finite-queue servers with latency
 //! bookkeeping and churn (servers joining and leaving mid-run).
 //!
-//! Each slot carries exactly the state the cluster's serving loop and
-//! end-of-run metrics read — queue length, peak queue, completions,
-//! drops, per-job admission timestamps for latency measurement, a
-//! stable membership id for consistent-hash placement, and an alive
-//! flag — and nothing more. (An earlier revision wrapped
-//! `bnb_queueing::Server` here, which also maintains a time-integrated
-//! queue-length average; the cluster never reports that statistic, yet
-//! paid its floating-point accounting twice per request on the hot
-//! path.) Slots are never reused or revived — a departed server's slot
-//! stays dead forever — so `is_alive()` alone identifies stale
+//! Each server slot lives in exactly two places:
+//!
+//! * a **hot record** ([`ClusterServer`], 128 bytes, 128-byte aligned)
+//!   holding everything the serving loop touches on a join or a
+//!   departure — queue and peak queue, completed and dropped counts,
+//!   `1 / speed`, speed, stable membership id, alive flag, and an inline
+//!   ring of the [`RING`] oldest admission times. A join, a departure
+//!   and a departure's service-time scaling each touch that one record
+//!   and nothing else; admission times beyond the ring spill to an
+//!   on-demand pool (`Spill`) reached through an index in the record;
+//! * a **packed load word** ([`LoadWord`], 8 bytes): `(queue, speed)` as
+//!   two `u32`s in one dense slice, the only state placement reads
+//!   ([`LoadView::dense`]), so a candidate costs one word load.
+//!
+//! The sharded engine (`crate::sharded`) keeps its shards' slots in the
+//! same record type and drives it through the same
+//! `admit`/`complete`/`evict` methods, so join/depart/FIFO bookkeeping
+//! exists once. Slots are never reused or revived — a departed server's
+//! slot stays dead forever — so `is_alive()` alone identifies stale
 //! departure events after churn.
 
-use bnb_core::Load;
 use bnb_queueing::events::Time;
 use bnb_queueing::server::Admission;
-use bnb_router::{LoadView, Member, Membership};
+use bnb_router::{LoadView, LoadWord, Member, Membership};
 use std::collections::VecDeque;
 
-/// One cluster server: queue counters plus latency and membership
-/// state.
+/// Admission times held inline per record: the oldest `RING` jobs in
+/// the system. Deeper queues spill the rest to the fleet's spill pool.
+pub const RING: usize = 8;
+
+/// The record's spill index when it has no spilled admission times.
+const NO_SPILL: u32 = u32::MAX;
+
+/// The cold half of the admission FIFOs: one lane per record whose
+/// queue runs deeper than [`RING`], handed out on demand and recycled
+/// through a free list when the record's queue drains back into its
+/// ring (a recycled lane keeps its capacity, so a slot that keeps
+/// running deep pays no allocation after warm-up). A fleet that never
+/// queues past the ring never allocates a lane.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Spill {
+    lanes: Vec<VecDeque<Time>>,
+    free: Vec<u32>,
+}
+
+impl Spill {
+    /// Appends `t` to the lane at `*lane`, taking a lane first when the
+    /// record holds none.
+    #[cold]
+    fn push(&mut self, lane: &mut u32, t: Time) {
+        if *lane == NO_SPILL {
+            *lane = self.free.pop().unwrap_or_else(|| {
+                self.lanes.push(VecDeque::new());
+                u32::try_from(self.lanes.len() - 1).expect("spill lanes fit in u32")
+            });
+        }
+        self.lanes[*lane as usize].push_back(t);
+    }
+
+    /// Pops the oldest time off the lane at `*lane`, recycling the lane
+    /// once it runs empty.
+    #[cold]
+    fn pop(&mut self, lane: &mut u32) -> Time {
+        let q = &mut self.lanes[*lane as usize];
+        let t = q
+            .pop_front()
+            .expect("spill lane holds the queue beyond the ring");
+        if q.is_empty() {
+            self.free.push(*lane);
+            *lane = NO_SPILL;
+        }
+        t
+    }
+
+    /// Empties and recycles the lane at `*lane`, if any.
+    fn release(&mut self, lane: &mut u32) {
+        if *lane != NO_SPILL {
+            self.lanes[*lane as usize].clear();
+            self.free.push(*lane);
+            *lane = NO_SPILL;
+        }
+    }
+}
+
+/// One server slot's hot record: queue counters, the inline admission
+/// ring, and membership state, packed into one 128-byte-aligned block
+/// so a join or departure touches one record and nothing else.
+///
+/// Field order is part of the design: everything a join, a departure
+/// or a membership scan reads comes first, and the ring restarts at
+/// index 0 whenever the queue drains, so a server that stays within
+/// three jobs touches only the record's first 64-byte line. Only the
+/// drop counter sits past the ring.
 #[derive(Debug, Clone)]
+#[repr(C, align(128))]
 pub struct ClusterServer {
-    speed: u64,
-    /// Jobs in the system (queue + in service).
-    queue: u64,
-    /// Largest queue length ever observed.
-    max_queue: u64,
+    /// `1 / speed`: departure scheduling scales Exp(1) work by this (a
+    /// multiply instead of a divide, bitwise-stable across loops).
+    inv_speed: f64,
     /// Completed jobs.
     completed: u64,
+    /// Jobs in system (queue + in service).
+    queue: u32,
+    /// Largest queue length ever observed.
+    max_queue: u32,
+    /// Spill lane of the admission times beyond the ring, or
+    /// `NO_SPILL`.
+    spill: u32,
+    speed: u32,
+    /// Stable membership id (never reused, feeds the hash ring).
+    id: u32,
+    /// Ring index of the oldest admission time (0 while idle).
+    head: u8,
+    alive: bool,
+    /// Admission times of the oldest `min(queue, RING)` jobs, FIFO,
+    /// circular from `head`.
+    ring: [Time; RING],
     /// Jobs rejected at a full queue.
     dropped: u64,
-    /// Admission time of every job currently in the system, FIFO.
-    in_flight: VecDeque<Time>,
-    /// Stable membership id (never reused, feeds the hash ring).
-    id: u64,
-    alive: bool,
 }
 
 impl ClusterServer {
-    fn new(speed: u64, queue_capacity: Option<u64>, id: u64) -> Self {
+    /// A fresh, alive, idle record.
+    ///
+    /// # Panics
+    /// Panics if `speed` is zero or exceeds `u32::MAX` (the packed load
+    /// word's range), or `id` exceeds `u32::MAX`.
+    pub(crate) fn new(speed: u64, id: u64) -> Self {
         assert!(speed > 0, "server speed must be positive");
+        let speed = LoadWord::new(0, speed).speed;
+        let id = u32::try_from(id).expect("slot ids fit in u32");
         ClusterServer {
+            ring: [0.0; RING],
+            inv_speed: 1.0 / f64::from(speed),
+            completed: 0,
+            dropped: 0,
+            id,
             speed,
             queue: 0,
             max_queue: 0,
-            completed: 0,
-            dropped: 0,
-            // Pre-size the admission FIFO a few slots deep (clamped well
-            // below the queue bound): a giant fleet at n ≥ 1e5 slots
-            // cannot afford capacity×n upfront, and a FIFO that does run
-            // deep amortises its one-time growth in the first few
-            // thousand events.
-            in_flight: VecDeque::with_capacity(queue_capacity.map_or(8, |c| c.min(8)) as usize),
-            id,
+            spill: NO_SPILL,
+            head: 0,
             alive: true,
         }
     }
@@ -62,19 +150,19 @@ impl ClusterServer {
     /// Service speed (jobs of unit work per unit time).
     #[must_use]
     pub fn speed(&self) -> u64 {
-        self.speed
+        u64::from(self.speed)
     }
 
     /// Jobs currently in the system (queue + in service).
     #[must_use]
     pub fn queue_len(&self) -> u64 {
-        self.queue
+        u64::from(self.queue)
     }
 
     /// Largest queue length ever observed.
     #[must_use]
     pub fn max_queue(&self) -> u64 {
-        self.max_queue
+        u64::from(self.max_queue)
     }
 
     /// Completed jobs.
@@ -89,17 +177,10 @@ impl ClusterServer {
         self.dropped
     }
 
-    /// The normalised load a job would see after joining:
-    /// `(queue + 1) / speed` as an exact [`Load`] rational.
-    #[must_use]
-    pub fn post_join_load(&self) -> Load {
-        Load::new(self.queue + 1, self.speed)
-    }
-
     /// Stable membership id.
     #[must_use]
     pub fn id(&self) -> u64 {
-        self.id
+        u64::from(self.id)
     }
 
     /// Whether the server is currently part of the cluster.
@@ -107,29 +188,108 @@ impl ClusterServer {
     pub fn is_alive(&self) -> bool {
         self.alive
     }
+
+    /// `1 / speed`.
+    #[inline]
+    pub(crate) fn inv_speed(&self) -> f64 {
+        self.inv_speed
+    }
+
+    /// Offers a job admitted at `now`: dropped when the queue already
+    /// holds `cap` jobs, else appended to the admission FIFO (the ring
+    /// while it has room, the spill lane beyond).
+    ///
+    /// # Panics
+    /// Panics if the queue would pass `u32::MAX` (it never wraps).
+    #[inline]
+    pub(crate) fn admit(&mut self, now: Time, cap: u64, spill: &mut Spill) -> Admission {
+        if u64::from(self.queue) >= cap {
+            self.dropped += 1;
+            return Admission::Dropped;
+        }
+        let q = self.queue as usize;
+        let queue = self
+            .queue
+            .checked_add(1)
+            .expect("queue length exceeds the packed load word's u32 range");
+        if q < RING {
+            self.ring[(self.head as usize + q) % RING] = now;
+        } else {
+            spill.push(&mut self.spill, now);
+        }
+        self.queue = queue;
+        self.max_queue = self.max_queue.max(queue);
+        if queue == 1 {
+            Admission::StartedService
+        } else {
+            Admission::Queued
+        }
+    }
+
+    /// The job in service completes at `now`: returns its sojourn
+    /// latency and whether another job is waiting. The ring's freed
+    /// tail is refilled from the spill lane when the queue still runs
+    /// deeper than the ring.
+    ///
+    /// # Panics
+    /// Panics if the queue is empty.
+    #[inline]
+    pub(crate) fn complete(&mut self, now: Time, spill: &mut Spill) -> (Time, bool) {
+        assert!(self.queue > 0, "departure from an empty cluster server");
+        let admitted = self.ring[self.head as usize];
+        self.queue -= 1;
+        self.completed += 1;
+        // An emptied ring restarts at 0, next to the counters.
+        self.head = if self.queue == 0 {
+            0
+        } else {
+            ((self.head as usize + 1) % RING) as u8
+        };
+        if self.queue as usize >= RING {
+            self.ring[(self.head as usize + RING - 1) % RING] = spill.pop(&mut self.spill);
+        }
+        (now - admitted, self.queue > 0)
+    }
+
+    /// Counters of a job admitted to an idle server and completed with
+    /// no event in between: [`ClusterServer::admit`] then
+    /// [`ClusterServer::complete`] composed — the queue nets to zero,
+    /// the peak is at least one, one more completion.
+    #[inline]
+    fn serve_idle(&mut self) {
+        debug_assert_eq!(self.queue, 0, "next-free bypass requires an idle server");
+        self.max_queue = self.max_queue.max(1);
+        self.completed += 1;
+    }
+
+    /// The server leaves for good: marks it dead, empties its FIFO and
+    /// returns the orphaned backlog (queued jobs and the one in
+    /// service).
+    pub(crate) fn evict(&mut self, spill: &mut Spill) -> u64 {
+        spill.release(&mut self.spill);
+        let orphans = self.queue_len();
+        self.queue = 0;
+        self.head = 0;
+        self.alive = false;
+        orphans
+    }
 }
 
 /// The fleet: all server slots ever created, dead ones included (their
 /// counters keep contributing to the final metrics).
 #[derive(Debug, Clone)]
 pub struct Fleet {
+    /// One hot record per slot.
     servers: Vec<ClusterServer>,
-    /// Dense queue length per slot, mirrored on every join and depart:
-    /// the placement hot path compares loads thousands of times per
-    /// simulated second, and reading words from this cache-resident
-    /// array beats chasing into the full server structs. Split from
-    /// `speeds` as structure-of-arrays so the router's batched scan
-    /// kernel can run chunked compares over each component directly
-    /// (`LoadView::dense`).
-    queues: Vec<u64>,
-    /// Dense speed per slot — the immutable half of the mirror.
-    speeds: Vec<u64>,
-    /// Dense `1 / speed` per slot: the departure-scheduling hot path
-    /// scales Exp(1) work by this (a multiply instead of a divide).
-    inv_speeds: Vec<f64>,
+    /// One packed `(queue, speed)` word per slot — the placement-visible
+    /// mirror of the records' queue lengths, stored on every join and
+    /// departure ([`LoadView::dense`]).
+    words: Vec<LoadWord>,
+    spill: Spill,
     n_alive: usize,
     next_id: u64,
-    queue_capacity: Option<u64>,
+    /// Queue bound (`u64::MAX` when unbounded).
+    cap: u64,
 }
 
 impl Fleet {
@@ -137,8 +297,8 @@ impl Fleet {
     /// bounded by `queue_capacity` (`None` = unbounded).
     ///
     /// # Panics
-    /// Panics if `speeds` is empty, any speed is zero, or the capacity
-    /// is `Some(0)`.
+    /// Panics if `speeds` is empty, any speed is zero or exceeds
+    /// `u32::MAX`, or the capacity is `Some(0)`.
     #[must_use]
     pub fn new(speeds: &[u64], queue_capacity: Option<u64>) -> Self {
         assert!(!speeds.is_empty(), "fleet needs at least one server");
@@ -146,16 +306,15 @@ impl Fleet {
         let servers: Vec<ClusterServer> = speeds
             .iter()
             .enumerate()
-            .map(|(i, &s)| ClusterServer::new(s, queue_capacity, i as u64))
+            .map(|(i, &s)| ClusterServer::new(s, i as u64))
             .collect();
         Fleet {
             n_alive: servers.len(),
             next_id: servers.len() as u64,
-            queues: vec![0; speeds.len()],
-            speeds: speeds.to_vec(),
-            inv_speeds: speeds.iter().map(|&s| 1.0 / s as f64).collect(),
+            words: speeds.iter().map(|&s| LoadWord::new(0, s)).collect(),
             servers,
-            queue_capacity,
+            spill: Spill::default(),
+            cap: queue_capacity.unwrap_or(u64::MAX),
         }
     }
 
@@ -214,8 +373,8 @@ impl Fleet {
                 .filter(|(_, s)| s.alive)
                 .map(|(i, s)| Member {
                     slot: i,
-                    id: s.id,
-                    speed: s.speed,
+                    id: s.id(),
+                    speed: s.speed(),
                 })
                 .collect(),
         )
@@ -235,56 +394,17 @@ impl Fleet {
     ///
     /// # Panics
     /// Panics if the server is not alive — placement must only route to
-    /// alive servers.
+    /// alive servers — or its queue would pass `u32::MAX`.
     #[inline]
     pub fn try_join(&mut self, i: usize, now: Time) -> Admission {
         let s = &mut self.servers[i];
         assert!(s.alive, "routed a request to a departed server");
-        if self.queue_capacity.is_some_and(|cap| s.queue >= cap) {
-            s.dropped += 1;
-            return Admission::Dropped;
-        }
-        s.queue += 1;
-        s.max_queue = s.max_queue.max(s.queue);
-        s.in_flight.push_back(now);
-        self.queues[i] += 1;
-        if s.queue == 1 {
-            Admission::StartedService
-        } else {
-            Admission::Queued
-        }
+        let admission = s.admit(now, self.cap, &mut self.spill);
+        self.words[i].queue = s.queue;
+        admission
     }
 
-    /// The ordering key of Algorithm 1's allocation step for slot `i`:
-    /// post-join normalised load first (exact rational), then *larger*
-    /// capacity preferred (hence the inverted speed component).
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range.
-    #[deprecated(
-        since = "0.1.0",
-        note = "the placement engine derives Algorithm 1's key from \
-                bnb_router::LoadView::load itself; read the mirror through that trait"
-    )]
-    #[inline]
-    #[must_use]
-    pub fn post_join_key(&self, i: usize) -> (Load, u64) {
-        let (q, s) = (self.queues[i], self.speeds[i]);
-        (Load::new(q + 1, s), u64::MAX - s)
-    }
-
-    /// Jobs in the system on slot `i`, served from the dense mirror.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range.
-    #[deprecated(since = "0.1.0", note = "use bnb_router::LoadView::queue_len")]
-    #[inline]
-    #[must_use]
-    pub fn queue_len_of(&self, i: usize) -> u64 {
-        self.queues[i]
-    }
-
-    /// `1 / speed` of slot `i`, from the dense mirror — how the
+    /// `1 / speed` of slot `i`, from its record — how the
     /// departure-scheduling path scales Exp(1) work into service time
     /// (bitwise-stable across the generic and fused loops, which is why
     /// the reciprocal is precomputed once rather than divided per event).
@@ -294,7 +414,7 @@ impl Fleet {
     #[inline]
     #[must_use]
     pub fn inv_speed_of(&self, i: usize) -> f64 {
-        self.inv_speeds[i]
+        self.servers[i].inv_speed()
     }
 
     /// The job in service on server `i` completes at `now`; returns its
@@ -306,14 +426,9 @@ impl Fleet {
     #[inline]
     pub fn depart(&mut self, i: usize, now: Time) -> (Time, bool) {
         let s = &mut self.servers[i];
-        let admitted = s
-            .in_flight
-            .pop_front()
-            .expect("departure from an empty cluster server");
-        s.queue -= 1;
-        s.completed += 1;
-        self.queues[i] -= 1;
-        (now - admitted, s.queue > 0)
+        let done = s.complete(now, &mut self.spill);
+        self.words[i].queue = s.queue;
+        done
     }
 
     /// Serves one job start-to-finish on an **idle** server in a single
@@ -321,21 +436,19 @@ impl Fleet {
     /// provably the next event so the job arrives, serves and departs
     /// with no observer in between. Counter state afterwards is exactly
     /// [`Fleet::try_join`] then [`Fleet::depart`] composed — the queue
-    /// (and its dense mirror) nets to zero, the peak queue is at least
+    /// (and its load word) nets to zero, the peak queue is at least
     /// one, one more completion, and the admission FIFO push/pop
     /// cancels — so the returned sojourn latency is the service time
     /// itself.
     ///
     /// # Panics
     /// Panics if the server is not alive. Debug-asserts the server is
-    /// idle — callers must have checked the queue mirror.
+    /// idle — callers must have checked its load word.
     #[inline]
     pub fn serve_one_now(&mut self, i: usize, admitted: Time, departed: Time) -> Time {
         let s = &mut self.servers[i];
         assert!(s.alive, "routed a request to a departed server");
-        debug_assert_eq!(s.queue, 0, "next-free bypass requires an idle server");
-        s.max_queue = s.max_queue.max(1);
-        s.completed += 1;
+        s.serve_idle();
         departed - admitted
     }
 
@@ -352,26 +465,22 @@ impl Fleet {
         let _ = now; // kept for API symmetry with join/depart timestamps
         let s = &mut self.servers[i];
         assert!(s.alive, "server {i} is already dead");
-        s.alive = false;
-        s.in_flight.clear();
         self.n_alive -= 1;
-        self.queues[i] = 0;
-        let orphans = s.queue;
-        s.queue = 0;
-        orphans
+        self.words[i].queue = 0;
+        s.evict(&mut self.spill)
     }
 
     /// A fresh server of the given speed joins the cluster; returns its
     /// slot index. It gets a new stable id, so hash-ring placements give
     /// it fresh arcs without disturbing anyone else's.
+    ///
+    /// # Panics
+    /// Panics if `speed` is zero or exceeds `u32::MAX`.
     pub fn activate_new(&mut self, speed: u64) -> usize {
-        let id = self.next_id;
+        let server = ClusterServer::new(speed, self.next_id);
         self.next_id += 1;
-        self.servers
-            .push(ClusterServer::new(speed, self.queue_capacity, id));
-        self.queues.push(0);
-        self.speeds.push(speed);
-        self.inv_speeds.push(1.0 / speed as f64);
+        self.words.push(LoadWord::new(0, server.speed()));
+        self.servers.push(server);
         self.n_alive += 1;
         self.servers.len() - 1
     }
@@ -389,21 +498,21 @@ impl Fleet {
     }
 }
 
-/// The fleet's dense `(queue_len, speed)` mirror as the router's
+/// The fleet's packed `(queue_len, speed)` words as the router's
 /// [`LoadView`]: the simulator drives [`bnb_router::PlacementEngine`]
 /// directly against it — the same placement code path a live embedding
-/// runs against a [`bnb_router::FleetSnapshot`]. The mirror is plain
-/// (single-threaded) structure-of-arrays, so it also exposes the dense
-/// slices the router's batched scan kernel gathers from directly.
+/// runs against a [`bnb_router::FleetSnapshot`]. The words are plain
+/// (single-threaded) memory, so the fleet also exposes them as the
+/// dense slice placement reads one word per candidate from.
 impl LoadView for Fleet {
     #[inline]
     fn load(&self, slot: usize) -> (u64, u64) {
-        (self.queues[slot], self.speeds[slot])
+        self.words[slot].unpack()
     }
 
     #[inline]
-    fn dense(&self) -> Option<(&[u64], &[u64])> {
-        Some((&self.queues, &self.speeds))
+    fn dense(&self) -> Option<&[LoadWord]> {
+        Some(&self.words)
     }
 }
 
@@ -479,6 +588,13 @@ mod tests {
     }
 
     #[test]
+    fn fresh_fleet_membership_is_the_speed_list() {
+        let speeds = [1, 8, 8, 1, 4];
+        let fleet = Fleet::new(&speeds, Some(4));
+        assert_eq!(fleet.membership(), Membership::from_speeds(&speeds));
+    }
+
+    #[test]
     fn activate_new_gets_fresh_id() {
         let mut fleet = Fleet::new(&[1, 1], Some(4));
         fleet.deactivate(1, 0.0);
@@ -504,5 +620,73 @@ mod tests {
     fn deactivating_last_server_panics() {
         let mut fleet = Fleet::new(&[1], None);
         let _ = fleet.deactivate(0, 0.0);
+    }
+
+    #[test]
+    fn record_is_one_aligned_128_byte_block() {
+        assert_eq!(std::mem::size_of::<ClusterServer>(), 128);
+        assert_eq!(std::mem::align_of::<ClusterServer>(), 128);
+        // The join/depart/membership fields and the first three ring
+        // entries share the first cache line.
+        assert!(std::mem::offset_of!(ClusterServer, ring) + 3 * 8 <= 64);
+        assert!(std::mem::offset_of!(ClusterServer, id) < 64);
+    }
+
+    #[test]
+    fn deep_queues_spill_past_the_ring_in_fifo_order() {
+        let depth = 3 * RING + 1;
+        let mut fleet = Fleet::new(&[1, 1], None);
+        for k in 0..depth {
+            fleet.try_join(0, k as f64);
+        }
+        assert_eq!(fleet.spill.lanes.len(), 1, "one lane for the one deep slot");
+        assert_eq!(LoadView::load(&fleet, 0), (depth as u64, 1));
+        for k in 0..depth {
+            let (lat, more) = fleet.depart(0, 100.0);
+            assert_eq!(lat.to_bits(), (100.0 - k as f64).to_bits(), "job {k}");
+            assert_eq!(more, k + 1 < depth);
+        }
+        assert_eq!(fleet.servers[0].spill, NO_SPILL, "drained lane released");
+        assert_eq!(fleet.spill.free, vec![0]);
+        // The recycled lane serves the next deep slot.
+        for k in 0..=RING {
+            fleet.try_join(1, k as f64);
+        }
+        assert_eq!(fleet.servers[1].spill, 0);
+        assert_eq!(fleet.spill.lanes.len(), 1);
+        assert_eq!(fleet.deactivate(1, 0.0), RING as u64 + 1);
+        assert_eq!(fleet.spill.free, vec![0], "eviction recycles the lane");
+    }
+
+    #[test]
+    #[should_panic(expected = "server speed 4294967296 exceeds")]
+    fn fleet_rejects_speeds_beyond_u32() {
+        let _ = Fleet::new(&[1, 1 << 32], None);
+    }
+
+    #[test]
+    #[should_panic(expected = "server speed 4294967296 exceeds")]
+    fn activate_new_rejects_speeds_beyond_u32() {
+        let mut fleet = Fleet::new(&[1], None);
+        let _ = fleet.activate_new(1 << 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "queue length exceeds")]
+    fn queue_increment_past_u32_panics() {
+        let mut fleet = Fleet::new(&[1], None);
+        // Stand in for 2^32 - 1 earlier joins (spilled, so the next
+        // admission takes the spill path).
+        fleet.servers[0].queue = u32::MAX;
+        fleet.words[0].queue = u32::MAX;
+        let _ = fleet.try_join(0, 0.0);
+    }
+
+    #[test]
+    fn u32_max_speed_is_accepted() {
+        let mut fleet = Fleet::new(&[u64::from(u32::MAX)], Some(2));
+        assert_eq!(fleet.server(0).speed(), u64::from(u32::MAX));
+        assert_eq!(fleet.try_join(0, 0.0), Admission::StartedService);
+        assert_eq!(LoadView::load(&fleet, 0), (1, u64::from(u32::MAX)));
     }
 }

@@ -15,9 +15,11 @@
 //! * [`arrivals`] — Poisson, flash-crowd and ramped-diurnal request
 //!   processes, generated by the batched [`ArrivalSampler`] on a
 //!   dedicated RNG stream,
-//! * [`fleet`] — heterogeneous finite-queue servers (built on
-//!   [`bnb_queueing::Server`]) with latency bookkeeping, churn, and a
-//!   dense load mirror for the placement hot path,
+//! * [`fleet`] — heterogeneous finite-queue servers with latency
+//!   bookkeeping and churn: one 128-byte hot record per slot (counters
+//!   plus an inline admission ring) and one packed `(queue, speed)`
+//!   load word per slot for the placement hot path — the slot layout
+//!   both engines share,
 //! * [`placement`] — pluggable routing, now served by the standalone
 //!   [`bnb_router`] data plane: the paper's d-choice Algorithm 1 over
 //!   non-uniform capacities (block pre-sampled candidates),
@@ -32,7 +34,8 @@
 //!   [`bnb_hashring::churn::MembershipRing`],
 //! * [`sharded`] — the space-sharded parallel engine: the fleet split
 //!   into contiguous slot ranges across worker threads, placement
-//!   routed against a frozen per-epoch load view, cross-shard joins
+//!   routed against a frozen per-epoch view of the load words, each
+//!   shard's slots kept in the fleet's record type, cross-shard joins
 //!   exchanged at epoch boundaries, per-shard reports merged in shard
 //!   order — byte-identical output under any worker count,
 //! * [`builder`] — the unified [`SimBuilder`] construction surface

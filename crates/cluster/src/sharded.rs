@@ -22,11 +22,12 @@
 //!    is a function of the seed alone.
 //! 3. **Place (parallel).** The epoch's arrivals are chunked across the
 //!    workers; each worker routes its chunk against the **frozen**
-//!    epoch view (a [`DenseView`] over the coordinator's queue/speed
-//!    mirrors) through [`PlacementEngine::place_stateless`], with a
-//!    per-arrival RNG derived from the arrival's global index — so a
-//!    target is a pure function of `(spec, seed, arrival index)`, not
-//!    of which worker computed it.
+//!    epoch view (a [`DenseView`] over the coordinator's packed
+//!    `(queue, speed)` words) through
+//!    [`PlacementEngine::place_stateless`], with a per-arrival RNG
+//!    derived from the arrival's global index — so a target is a pure
+//!    function of `(spec, seed, arrival index)`, not of which worker
+//!    computed it.
 //! 4. **Advance (parallel).** Each shard applies its churn ops, merges
 //!    its binned arrivals with its local departure board
 //!    ([`bnb_queueing::LazyBoard`], departures strictly before an
@@ -34,6 +35,14 @@
 //!    engine's convention), and reports the slots whose queue lengths
 //!    changed. The coordinator folds those deltas into the next
 //!    epoch's frozen view.
+//!
+//! A shard keeps its slots in the serial fleet's hot record
+//! ([`ClusterServer`]) and admits, completes and evicts jobs through the
+//! same record methods the serial [`crate::Fleet`] uses, so the queue
+//! counters and the admission FIFO (inline ring plus spill lanes) are
+//! one implementation for both engines. What stays shard-specific is
+//! the slot addressing (local index ↔ global slot, the record's id)
+//! and the counter-keyed service draws.
 //!
 //! After the request budget is offered, a final drain round pops every
 //! remaining departure and the shards return their reports, which merge
@@ -64,17 +73,17 @@
 //! counting-sorted into slot-major order before the mean is summed.
 
 use crate::arrivals::ArrivalSampler;
+use crate::fleet::{ClusterServer, Spill};
 use crate::metrics::ClusterMetrics;
 use crate::sim::{ClusterSpec, ARRIVAL_STREAM, CHURN_STREAM, SERVICE_STREAM};
 use bnb_distributions::{derive_seed, Xoshiro256PlusPlus};
 use bnb_hashring::hash::mix64;
 use bnb_queueing::events::Time;
-use bnb_queueing::LazyBoard;
-use bnb_router::{DenseView, Member, Membership, PlacementEngine};
+use bnb_queueing::{Admission, LazyBoard};
+use bnb_router::{DenseView, LoadWord, Member, Membership, PlacementEngine};
 use bnb_stats::{merge_ordered, Mergeable};
 use bnb_telemetry::MetricsSnapshot;
 use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::Arc;
 
@@ -107,14 +116,14 @@ enum ChurnOp {
     },
 }
 
-/// The frozen per-epoch fleet view: dense queue/speed mirrors the
-/// placement round reads through [`DenseView`]. Shared as an `Arc`
-/// with every worker for the round, reclaimed (and mutated in place
-/// via [`Arc::make_mut`]) by the coordinator between rounds.
+/// The frozen per-epoch fleet view: one packed `(queue, speed)`
+/// [`LoadWord`] per global slot, read by the placement round through
+/// [`DenseView`]. Shared as an `Arc` with every worker for the round,
+/// reclaimed (and mutated in place via [`Arc::make_mut`]) by the
+/// coordinator between rounds.
 #[derive(Debug, Clone)]
 struct EpochView {
-    queues: Vec<u64>,
-    speeds: Vec<u64>,
+    words: Vec<LoadWord>,
 }
 
 /// A task sent to a worker thread.
@@ -148,7 +157,7 @@ enum Reply {
         targets: Vec<u32>,
     },
     Advanced {
-        deltas: Vec<(u32, u64)>,
+        deltas: Vec<(u32, u32)>,
         last_event: Time,
     },
     Drained {
@@ -183,10 +192,13 @@ impl Mergeable for ShardReport {
     }
 }
 
-/// One shard's server state: per-slot records for the contiguous base
-/// range it owns plus any churn-added slots assigned to it. Slots never
-/// interact inside an epoch, so these arrays are the *entire* mutable
-/// simulation state of the shard.
+/// One shard's server state: one [`ClusterServer`] record (the serial
+/// fleet's record type, driven through the same `admit`/`complete`/
+/// `evict` methods) per slot of the contiguous base range it owns plus
+/// any churn-added slots assigned to it, indexed by local slot. A
+/// record's id is its global slot. Slots never interact inside an
+/// epoch, so the records and their spill pool are the *entire* serving
+/// state of the shard.
 struct ShardState {
     shard: usize,
     /// Base range `[lo, hi)` of global slots this shard owns.
@@ -195,19 +207,13 @@ struct ShardState {
     /// resolve through `local_of_churn`.
     n0: u32,
     local_of_churn: HashMap<u32, u32>,
-    global_of: Vec<u32>,
-    speed: Vec<u64>,
-    inv_speed: Vec<f64>,
-    queue: Vec<u64>,
-    max_queue: Vec<u64>,
-    completed: Vec<u64>,
-    dropped: Vec<u64>,
-    in_flight: Vec<VecDeque<Time>>,
-    alive: Vec<bool>,
+    servers: Vec<ClusterServer>,
+    spill: Spill,
     /// Per-slot service-draw counters: draw `k` on slot `g` is
     /// `derive_seed(service_seed, g, k)` — pure in `(seed, slot, k)`.
     svc_counter: Vec<u64>,
-    cap: Option<u64>,
+    /// Queue bound (`u64::MAX` when unbounded).
+    cap: u64,
     service_seed: u64,
     /// Departure board keyed by *local* slot index.
     board: LazyBoard,
@@ -221,6 +227,11 @@ struct ShardState {
 }
 
 impl ShardState {
+    /// A shard owning global slots `[lo, hi)` of a fleet that starts
+    /// with `speeds`.
+    ///
+    /// # Panics
+    /// Panics if a speed is zero or exceeds `u32::MAX`.
     fn new(
         shard: usize,
         lo: u32,
@@ -235,20 +246,12 @@ impl ShardState {
             lo,
             n0: speeds.len() as u32,
             local_of_churn: HashMap::new(),
-            global_of: (lo..hi).collect(),
-            speed: speeds[lo as usize..hi as usize].to_vec(),
-            inv_speed: speeds[lo as usize..hi as usize]
-                .iter()
-                .map(|&s| 1.0 / s as f64)
+            servers: (lo..hi)
+                .map(|g| ClusterServer::new(speeds[g as usize], u64::from(g)))
                 .collect(),
-            queue: vec![0; n],
-            max_queue: vec![0; n],
-            completed: vec![0; n],
-            dropped: vec![0; n],
-            in_flight: vec![VecDeque::new(); n],
-            alive: vec![true; n],
+            spill: Spill::default(),
             svc_counter: vec![0; n],
-            cap,
+            cap: cap.unwrap_or(u64::MAX),
             service_seed,
             board: LazyBoard::with_slots(n),
             touched_stamp: vec![0; n],
@@ -269,6 +272,12 @@ impl ShardState {
         }
     }
 
+    /// Global slot of local slot `l`.
+    #[inline]
+    fn global(&self, l: usize) -> u32 {
+        self.servers[l].id() as u32
+    }
+
     #[inline]
     fn touch(&mut self, l: usize) {
         if self.touched_stamp[l] != self.epoch_stamp {
@@ -277,44 +286,36 @@ impl ShardState {
         }
     }
 
-    /// The counter-keyed Exp(1) service draw for local slot `l`:
-    /// inverse-CDF over a uniform built from the top 53 bits of
-    /// `derive_seed(service_seed, global_slot, counter)`.
+    /// Schedules local slot `l`'s next departure at `t` plus a
+    /// counter-keyed Exp(1) service draw (inverse-CDF over a uniform
+    /// built from the top 53 bits of `derive_seed(service_seed,
+    /// global_slot, counter)`) scaled by `1 / speed`.
     #[inline]
-    fn exp_draw(&mut self, l: usize) -> f64 {
+    fn schedule_service(&mut self, l: usize, t: Time) {
         let x = derive_seed(
             self.service_seed,
-            u64::from(self.global_of[l]),
+            u64::from(self.global(l)),
             self.svc_counter[l],
         );
         self.svc_counter[l] += 1;
         let u = ((x >> 11) as f64 + 0.5) * INV_2_53;
-        -u.ln()
+        let service = -u.ln() * self.servers[l].inv_speed();
+        self.board.schedule(l as u32, t + service);
     }
 
     fn apply(&mut self, op: ChurnOp) {
         match op {
             ChurnOp::Deactivate(g) => {
                 let l = self.local(g);
-                debug_assert!(self.alive[l], "slot {g} deactivated twice");
-                self.orphaned += self.queue[l];
-                self.queue[l] = 0;
-                self.in_flight[l].clear();
-                self.alive[l] = false;
+                debug_assert!(self.servers[l].is_alive(), "slot {g} deactivated twice");
+                self.orphaned += self.servers[l].evict(&mut self.spill);
                 self.touch(l);
             }
             ChurnOp::Activate { slot, speed } => {
-                let l = self.speed.len();
+                let l = self.servers.len();
                 self.local_of_churn.insert(slot, l as u32);
-                self.global_of.push(slot);
-                self.speed.push(speed);
-                self.inv_speed.push(1.0 / speed as f64);
-                self.queue.push(0);
-                self.max_queue.push(0);
-                self.completed.push(0);
-                self.dropped.push(0);
-                self.in_flight.push(VecDeque::new());
-                self.alive.push(true);
+                self.servers
+                    .push(ClusterServer::new(speed, u64::from(slot)));
                 self.svc_counter.push(0);
                 self.touched_stamp.push(0);
                 // The board grows itself on the first `schedule` for
@@ -328,15 +329,10 @@ impl ShardState {
     /// callers' `alive` check before this is reached.
     #[inline]
     fn depart(&mut self, l: usize, t: Time) {
-        let admitted = self.in_flight[l]
-            .pop_front()
-            .expect("departure from an empty shard slot");
-        self.queue[l] -= 1;
-        self.completed[l] += 1;
-        self.latencies.push((self.global_of[l], t - admitted));
-        if self.queue[l] > 0 {
-            let service = self.exp_draw(l) * self.inv_speed[l];
-            self.board.schedule(l as u32, t + service);
+        let (latency, more) = self.servers[l].complete(t, &mut self.spill);
+        self.latencies.push((self.global(l), latency));
+        if more {
+            self.schedule_service(l, t);
         }
         self.touch(l);
         self.last_event = t;
@@ -348,7 +344,7 @@ impl ShardState {
     fn drain_until(&mut self, bound: Time) {
         while let Some((t, l)) = self.board.pop_if_before(bound) {
             let l = l as usize;
-            if self.alive[l] {
+            if self.servers[l].is_alive() {
                 self.depart(l, t);
             }
         }
@@ -358,17 +354,9 @@ impl ShardState {
     #[inline]
     fn arrive(&mut self, g: u32, t: Time) {
         let l = self.local(g);
-        debug_assert!(self.alive[l], "arrival routed to a dead slot");
-        if self.cap.is_some_and(|cap| self.queue[l] >= cap) {
-            self.dropped[l] += 1;
-        } else {
-            self.queue[l] += 1;
-            self.max_queue[l] = self.max_queue[l].max(self.queue[l]);
-            self.in_flight[l].push_back(t);
-            if self.queue[l] == 1 {
-                let service = self.exp_draw(l) * self.inv_speed[l];
-                self.board.schedule(l as u32, t + service);
-            }
+        debug_assert!(self.servers[l].is_alive(), "arrival routed to a dead slot");
+        if self.servers[l].admit(t, self.cap, &mut self.spill) == Admission::StartedService {
+            self.schedule_service(l, t);
         }
         self.touch(l);
         self.last_event = t;
@@ -383,7 +371,7 @@ impl ShardState {
         arrivals: &[(Time, u32)],
         t0: Time,
         t1: Time,
-    ) -> Vec<(u32, u64)> {
+    ) -> Vec<(u32, u32)> {
         self.epoch_stamp += 1;
         self.touched.clear();
         self.drain_until(t0);
@@ -397,7 +385,10 @@ impl ShardState {
         self.drain_until(t1);
         self.touched
             .iter()
-            .map(|&l| (self.global_of[l as usize], self.queue[l as usize]))
+            .map(|&l| {
+                let s = &self.servers[l as usize];
+                (s.id() as u32, s.queue_len() as u32)
+            })
             .collect()
     }
 
@@ -406,7 +397,7 @@ impl ShardState {
     fn drain_all(&mut self) {
         while let Some((t, l)) = self.board.pop() {
             let l = l as usize;
-            if self.alive[l] {
+            if self.servers[l].is_alive() {
                 self.depart(l, t);
             }
         }
@@ -416,15 +407,17 @@ impl ShardState {
     fn finish(self) -> (ShardReport, MetricsSnapshot) {
         let mut snap = MetricsSnapshot::new();
         self.board.stats().record_into(&mut snap);
-        snap.add_counter("sharded.shard_slots", self.speed.len() as u64);
-        let slots = (0..self.speed.len())
-            .map(|l| {
+        snap.add_counter("sharded.shard_slots", self.servers.len() as u64);
+        let slots = self
+            .servers
+            .iter()
+            .map(|s| {
                 (
-                    self.global_of[l],
-                    self.speed[l],
-                    self.completed[l],
-                    self.max_queue[l],
-                    self.dropped[l],
+                    s.id() as u32,
+                    s.speed(),
+                    s.completed(),
+                    s.max_queue(),
+                    s.dropped(),
                 )
             })
             .collect();
@@ -452,7 +445,7 @@ fn place_chunk(
     first: u64,
     count: usize,
 ) -> Vec<u32> {
-    let dense = DenseView::new(&view.queues, &view.speeds);
+    let dense = DenseView::new(&view.words);
     let needs_key = engine.needs_key();
     (0..count as u64)
         .map(|k| {
@@ -566,11 +559,10 @@ fn run_sharded(spec: &ClusterSpec, seed: u64, workers: usize) -> (ClusterMetrics
     let speeds0 = spec.speeds.as_slice();
     let requests = spec.requests;
 
-    // Coordinator-side fleet mirrors: the authoritative epoch-boundary
+    // Coordinator-side load words: the authoritative epoch-boundary
     // state placement freezes against.
     let mut view = Arc::new(EpochView {
-        queues: vec![0; n0],
-        speeds: speeds0.to_vec(),
+        words: speeds0.iter().map(|&s| LoadWord::new(0, s)).collect(),
     });
     let mut alive_slots: Vec<u32> = (0..n0 as u32).collect();
     let mut ids: Vec<u64> = (0..n0 as u64).collect();
@@ -585,21 +577,21 @@ fn run_sharded(spec: &ClusterSpec, seed: u64, workers: usize) -> (ClusterMetrics
             *o = s as u32;
         }
     }
-    let membership = |alive_slots: &[u32], ids: &[u64], speeds: &[u64]| {
+    let membership = |alive_slots: &[u32], ids: &[u64], words: &[LoadWord]| {
         Membership::new(
             alive_slots
                 .iter()
                 .map(|&g| Member {
                     slot: g as usize,
                     id: ids[g as usize],
-                    speed: speeds[g as usize],
+                    speed: u64::from(words[g as usize].speed),
                 })
                 .collect(),
         )
     };
     let mut engine = Arc::new(PlacementEngine::new(
         spec.placement,
-        &membership(&alive_slots, &ids, &view.speeds),
+        &membership(&alive_slots, &ids, &view.words),
         seed,
     ));
 
@@ -708,28 +700,27 @@ fn run_sharded(spec: &ClusterSpec, seed: u64, workers: usize) -> (ClusterMetrics
                         let pick = churn_rng.next_below(alive_slots.len() as u64) as usize;
                         let victim = alive_slots[pick];
                         alive_slots.remove(pick);
-                        let vspeed = view.speeds[victim as usize];
+                        let vspeed = view.words[victim as usize].speed;
                         {
                             let v = Arc::make_mut(&mut view);
-                            v.queues[victim as usize] = 0;
+                            v.words[victim as usize].queue = 0;
                         }
                         ops_by_shard[owner[victim as usize] as usize]
                             .push(ChurnOp::Deactivate(victim));
                         leaves += 1;
                         // A fresh server of the same speed joins.
                         let g = owner.len();
-                        {
-                            let v = Arc::make_mut(&mut view);
-                            v.queues.push(0);
-                            v.speeds.push(vspeed);
-                        }
+                        Arc::make_mut(&mut view).words.push(LoadWord {
+                            queue: 0,
+                            speed: vspeed,
+                        });
                         ids.push(next_id);
                         next_id += 1;
                         owner.push((g % s_count) as u32);
                         alive_slots.push(g as u32);
                         ops_by_shard[owner[g] as usize].push(ChurnOp::Activate {
                             slot: g as u32,
-                            speed: vspeed,
+                            speed: u64::from(vspeed),
                         });
                         joins += 1;
                         churned = true;
@@ -740,7 +731,7 @@ fn run_sharded(spec: &ClusterSpec, seed: u64, workers: usize) -> (ClusterMetrics
             if churned {
                 engine = Arc::new(PlacementEngine::new(
                     spec.placement,
-                    &membership(&alive_slots, &ids, &view.speeds),
+                    &membership(&alive_slots, &ids, &view.words),
                     seed,
                 ));
                 churn_epochs += 1;
@@ -813,7 +804,7 @@ fn run_sharded(spec: &ClusterSpec, seed: u64, workers: usize) -> (ClusterMetrics
                     } => {
                         let v = Arc::make_mut(&mut view);
                         for (g, q) in deltas {
-                            v.queues[g as usize] = q;
+                            v.words[g as usize].queue = q;
                         }
                         last_event = last_event.max(le);
                     }
@@ -854,7 +845,7 @@ fn run_sharded(spec: &ClusterSpec, seed: u64, workers: usize) -> (ClusterMetrics
     .expect("at least one shard");
 
     report.slots.sort_unstable_by_key(|r| r.0);
-    let total_slots = view.queues.len();
+    let total_slots = view.words.len();
     debug_assert_eq!(report.slots.len(), total_slots);
     let mut per_completed = Vec::with_capacity(total_slots);
     let mut per_max_queue = Vec::with_capacity(total_slots);
@@ -1035,6 +1026,12 @@ mod tests {
         let a = ShardedClusterSim::new(base_spec(), 42, 2).run();
         let b = ShardedClusterSim::new(base_spec(), 43, 2).run();
         assert_ne!(a, b, "different seeds should differ (w.o.p.)");
+    }
+
+    #[test]
+    #[should_panic(expected = "server speed 4294967296 exceeds")]
+    fn shard_slot_table_rejects_speeds_beyond_u32() {
+        let _ = ShardState::new(0, 0, 2, &[1, 1 << 32], None, 0);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! The dominant configuration — `DChoice { d: 2 }` placement, no
 //! churn, on the default scheduler — runs a **fused monomorphic loop**:
-//! arrival merging, the unrolled d = 2 compare over the fleet's dense
-//! load mirror, ziggurat service sampling and completion scheduling in
+//! arrival merging, the unrolled d = 2 compare over the fleet's packed
+//! load words, ziggurat service sampling and completion scheduling in
 //! one branch-predictable loop, with departures carried as bare `u32`
 //! server indices through a slot-keyed
 //! [`bnb_queueing::LazyBoard`] — the fleet holds at most
@@ -51,7 +51,7 @@ use bnb_queueing::calendar::CalendarQueue;
 use bnb_queueing::events::{EventScheduler, Time};
 use bnb_queueing::server::Admission;
 use bnb_queueing::{CalendarStats, LazyBoard, LazyStats};
-use bnb_router::{LoadView, PlacementEngine};
+use bnb_router::{LoadView, Membership, PlacementEngine};
 use bnb_stats::Mergeable;
 use bnb_telemetry::{MetricsSnapshot, Registry};
 use std::any::TypeId;
@@ -205,7 +205,10 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
             );
         }
         let fleet = Fleet::new(spec.speeds.as_slice(), spec.queue_capacity);
-        let router = PlacementEngine::new(spec.placement, &fleet.membership(), seed);
+        // A fresh fleet's membership is slot i = id i at speeds[i]:
+        // built from the speeds rather than by scanning every record.
+        let membership = Membership::from_speeds(spec.speeds.as_slice());
+        let router = PlacementEngine::new(spec.placement, &membership, seed);
         ClusterSim {
             fleet,
             router,
@@ -475,7 +478,7 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
                 None
             };
             // Key-oblivious placement: the d = 2 fast path over the
-            // dense (queue_len, speed) mirror.
+            // packed (queue_len, speed) load words.
             let tp = self.tele.place.enter();
             let target = self.router.place_d2(&self.fleet);
             if LoadView::load(&self.fleet, target).0 != 0 {

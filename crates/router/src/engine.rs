@@ -350,8 +350,8 @@ impl PlacementEngine {
                     if a == b {
                         return sa;
                     }
-                    let ((qa, ca), (qb, cb)) = if let Some((queues, speeds)) = view.dense() {
-                        ((queues[sa], speeds[sa]), (queues[sb], speeds[sb]))
+                    let ((qa, ca), (qb, cb)) = if let Some(words) = view.dense() {
+                        (words[sa].unpack(), words[sb].unpack())
                     } else {
                         (view.load(sa), view.load(sb))
                     };
@@ -492,8 +492,8 @@ impl PlacementEngine {
         // tie-break towards the faster server, residual ties uniform —
         // the identical order `placement_key` induces, with two fewer
         // data-dependent branches per request.
-        let ((qa, ca), (qb, cb)) = if let Some((queues, speeds)) = view.dense() {
-            ((queues[sa], speeds[sa]), (queues[sb], speeds[sb]))
+        let ((qa, ca), (qb, cb)) = if let Some(words) = view.dense() {
+            (words[sa].unpack(), words[sb].unpack())
         } else {
             (view.load(sa), view.load(sb))
         };

@@ -3,19 +3,20 @@
 //!
 //! Placement spends its per-request budget on two memory-bound steps:
 //! mapping candidate tokens to fleet slots and pulling each slot's
-//! `(queue_len, speed)` out of the dense load mirror. Done one
-//! candidate at a time (as the generic `reservoir_argmin` closure did),
-//! every load sits on the previous one's address — a serial
-//! token → slot → queue dependency chain the core cannot overlap. This
-//! module splits the evaluation into two phases:
+//! packed `(queue_len, speed)` [`LoadWord`](crate::LoadWord) out of
+//! the dense load mirror. Done one candidate at a time (as the generic
+//! `reservoir_argmin` closure did), every load sits on the previous
+//! one's address — a serial token → slot → queue dependency chain the
+//! core cannot overlap. This module splits the evaluation into two
+//! phases:
 //!
-//! * a **gather phase** over the mirror's structure-of-arrays slices
+//! * a **gather phase** over the mirror's word slice
 //!   ([`LoadView::dense`]): a chunked loop ([`slice::chunks_exact`],
-//!   plain safe Rust — the workspace denies `unsafe`) that issues the
-//!   candidate loads in independent groups of [`GATHER_CHUNK`], so the
-//!   address arithmetic unrolls, the loads pipeline instead of
-//!   serialising, and on targets with gather/SIMD support the
-//!   autovectoriser is free to batch them;
+//!   plain safe Rust — the workspace denies `unsafe`) that issues one
+//!   word load per candidate in independent groups of
+//!   [`GATHER_CHUNK`], so the address arithmetic unrolls, the loads
+//!   pipeline instead of serialising, and on targets with gather/SIMD
+//!   support the autovectoriser is free to batch them;
 //! * a **compare phase** over the gathered arrays: the same
 //!   dedup-prefix + 1/k-reservoir scan as before (bit-identical RNG
 //!   draw order — the equivalence tests pin it), but now running over
@@ -24,7 +25,7 @@
 //!
 //! The `d = 2` fast path in [`crate::PlacementEngine::place_d2`] stays
 //! hand-unrolled (two candidates don't amortise a loop), but reads the
-//! same dense slices; `d > 2` and the experiment sweep paths route
+//! same dense words; `d > 2` and the experiment sweep paths route
 //! through [`gather`] + [`argmin_algo1`].
 
 use crate::view::LoadView;
@@ -69,8 +70,8 @@ impl Default for ScanScratch {
 /// Gathers the candidate tokens' slots and `(queue_len, speed)` pairs
 /// into `scratch`, chunked. `map` converts a token to a fleet slot (the
 /// engine's alive list, or the identity on an unchurned fleet). Views
-/// exposing dense slices get straight indexed loads; others fall back
-/// to per-slot [`LoadView::load`] calls in the same chunked shape.
+/// exposing dense words get one indexed word load per candidate; others
+/// fall back to per-slot [`LoadView::load`] calls.
 ///
 /// # Panics
 /// Panics if `tokens.len() > MAX_D` or a token maps out of range.
@@ -89,16 +90,15 @@ pub fn gather(
     }
     let qs = &mut scratch.queues[..d];
     let ss = &mut scratch.speeds[..d];
-    if let Some((queues, speeds)) = view.dense() {
+    if let Some(words) = view.dense() {
         let mut slot_chunks = slots.chunks_exact(GATHER_CHUNK);
         let mut q_chunks = qs.chunks_exact_mut(GATHER_CHUNK);
         let mut s_chunks = ss.chunks_exact_mut(GATHER_CHUNK);
         for ((sc, qc), cc) in (&mut slot_chunks).zip(&mut q_chunks).zip(&mut s_chunks) {
-            // Fixed-width chunk: four independent indexed loads per
-            // array, no cross-iteration dependence.
+            // Fixed-width chunk: four independent word loads, no
+            // cross-iteration dependence.
             for k in 0..GATHER_CHUNK {
-                qc[k] = queues[sc[k]];
-                cc[k] = speeds[sc[k]];
+                (qc[k], cc[k]) = words[sc[k]].unpack();
             }
         }
         for ((&slot, q), s) in slot_chunks
@@ -107,8 +107,7 @@ pub fn gather(
             .zip(q_chunks.into_remainder())
             .zip(s_chunks.into_remainder())
         {
-            *q = queues[slot];
-            *s = speeds[slot];
+            (*q, *s) = words[slot].unpack();
         }
     } else {
         for ((&slot, q), s) in slots.iter().zip(qs.iter_mut()).zip(ss.iter_mut()) {
@@ -172,22 +171,22 @@ pub fn argmin_algo1(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::LoadWord;
 
     struct DenseFleet {
-        queues: Vec<u64>,
-        speeds: Vec<u64>,
+        words: Vec<LoadWord>,
     }
 
     impl LoadView for DenseFleet {
         fn load(&self, slot: usize) -> (u64, u64) {
-            (self.queues[slot], self.speeds[slot])
+            self.words[slot].unpack()
         }
-        fn dense(&self) -> Option<(&[u64], &[u64])> {
-            Some((&self.queues, &self.speeds))
+        fn dense(&self) -> Option<&[LoadWord]> {
+            Some(&self.words)
         }
     }
 
-    /// The same mirror hiding its slices: forces the per-slot fallback.
+    /// The same mirror hiding its words: forces the per-slot fallback.
     struct OpaqueFleet(DenseFleet);
 
     impl LoadView for OpaqueFleet {
@@ -196,11 +195,18 @@ mod tests {
         }
     }
 
-    fn fleet() -> DenseFleet {
+    fn dense_fleet(queues: &[u64], speeds: &[u64]) -> DenseFleet {
         DenseFleet {
-            queues: vec![3, 0, 5, 1, 2, 2, 0, 9],
-            speeds: vec![1, 1, 8, 8, 4, 4, 2, 2],
+            words: queues
+                .iter()
+                .zip(speeds)
+                .map(|(&q, &s)| LoadWord::new(q, s))
+                .collect(),
         }
+    }
+
+    fn fleet() -> DenseFleet {
+        dense_fleet(&[3, 0, 5, 1, 2, 2, 0, 9], &[1, 1, 8, 8, 4, 4, 2, 2])
     }
 
     #[test]
@@ -264,10 +270,7 @@ mod tests {
     #[test]
     fn residual_ties_reservoir_uniformly() {
         // Two identical servers: over many seeds both must win often.
-        let dense = DenseFleet {
-            queues: vec![1, 1],
-            speeds: vec![4, 4],
-        };
+        let dense = dense_fleet(&[1, 1], &[4, 4]);
         let tokens = [0usize, 1];
         let mut scratch = ScanScratch::new();
         gather(&dense, &tokens, |t| t, &mut scratch);

@@ -4,7 +4,8 @@
 //! reproduction, as an embeddable library: the four placement policies
 //! (the paper's Algorithm 1 d-choice, consistent-hash successor,
 //! weighted rendezvous, and Byers-style hash-then-probe), the dense
-//! `(jobs_in_system, speed)` load mirror they compare against, and the
+//! `(jobs_in_system, speed)` load mirror they compare against (one
+//! packed [`LoadWord`] per slot), and the
 //! radix-successor hash ring — behind one [`Router`] trait a live load
 //! balancer can program against, with **no simulator dependencies**
 //! (CI builds this crate standalone to prove it).
@@ -80,7 +81,8 @@ pub use kernel::ScanScratch;
 pub use spec::PlacementSpec;
 pub use telemetry::RouterCounters;
 pub use view::{
-    DenseView, FleetReader, FleetSnapshot, FleetView, LoadView, Member, Membership, ServerId,
+    DenseView, FleetReader, FleetSnapshot, FleetView, LoadView, LoadWord, Member, Membership,
+    ServerId,
 };
 
 /// The routing interface a serving thread programs against: hand in a

@@ -124,6 +124,47 @@ impl Membership {
     }
 }
 
+/// One slot's placement-visible state packed into a single 8-byte
+/// word: jobs in system and service speed, both `u32`. Placement reads
+/// exactly one of these per candidate, so a candidate costs one load
+/// (and at most one cache miss) instead of one per field.
+///
+/// Build words through [`LoadWord::new`], which rejects what the packing
+/// cannot hold; owners of a dense mirror ([`LoadView::dense`]) keep the
+/// `queue` field in step with their own queue counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[repr(C, align(8))]
+pub struct LoadWord {
+    /// Jobs in the system (queue + in service).
+    pub queue: u32,
+    /// Service speed (jobs of unit work per unit time).
+    pub speed: u32,
+}
+
+impl LoadWord {
+    /// Packs `(queue, speed)` into one word.
+    ///
+    /// # Panics
+    /// Panics if either value exceeds `u32::MAX`.
+    #[must_use]
+    pub fn new(queue: u64, speed: u64) -> Self {
+        let speed = u32::try_from(speed).unwrap_or_else(|_| {
+            panic!("server speed {speed} exceeds the packed load word's u32 range")
+        });
+        let queue = u32::try_from(queue).unwrap_or_else(|_| {
+            panic!("queue length {queue} exceeds the packed load word's u32 range")
+        });
+        LoadWord { queue, speed }
+    }
+
+    /// The word as `(jobs_in_system, speed)`, widened.
+    #[inline]
+    #[must_use]
+    pub fn unpack(self) -> (u64, u64) {
+        (u64::from(self.queue), u64::from(self.speed))
+    }
+}
+
 /// Read access to the dense `(jobs_in_system, speed)` load mirror the
 /// placement hot path compares thousands of times per second.
 ///
@@ -142,62 +183,54 @@ pub trait LoadView {
         self.load(slot).0
     }
 
-    /// The mirror as plain structure-of-arrays slices
-    /// `(queue_lens, speeds)`, when the implementation can expose them.
-    /// Single-threaded mirrors (the simulator's fleet) return `Some`,
-    /// and the batched scan kernel (`crate::kernel`) gathers candidates
-    /// straight out of the slices in a chunked loop; concurrent mirrors
-    /// whose counters are atomics return `None` (the default) and take
-    /// the per-slot [`LoadView::load`] path instead.
+    /// The mirror as one plain slice of packed [`LoadWord`]s, indexed by
+    /// slot, when the implementation can expose it. Single-threaded
+    /// mirrors (the simulator's fleet, [`DenseView`]) return `Some`, and
+    /// placement reads one word per candidate straight out of the
+    /// slice; concurrent mirrors whose counters are atomics return
+    /// `None` (the default) and take the per-slot [`LoadView::load`]
+    /// path instead.
     #[inline]
-    fn dense(&self) -> Option<(&[u64], &[u64])> {
+    fn dense(&self) -> Option<&[LoadWord]> {
         None
     }
 }
 
-/// A borrowed dense load mirror: plain `(queue_lens, speeds)` slices,
+/// A borrowed dense load mirror: a plain slice of packed [`LoadWord`]s,
 /// no atomics, no interior mutability. This is the **frozen-view** form
 /// of a fleet — the sharded cluster simulator snapshots its global
-/// per-slot arrays once per epoch and routes every arrival of that
+/// per-slot words once per epoch and routes every arrival of that
 /// epoch against the same immutable `DenseView`, so placement is a pure
 /// function of the epoch's data regardless of which worker thread
 /// evaluates it.
 ///
-/// Dead slots may carry stale `(queue, speed)` words: placement only
-/// ever probes slots of the engine's alive list, so the stale words are
-/// unreachable by construction.
+/// Dead slots may carry stale words: placement only ever probes slots
+/// of the engine's alive list, so the stale words are unreachable by
+/// construction.
 #[derive(Debug, Clone, Copy)]
 pub struct DenseView<'a> {
-    queues: &'a [u64],
-    speeds: &'a [u64],
+    words: &'a [LoadWord],
 }
 
 impl<'a> DenseView<'a> {
-    /// Wraps per-slot queue-length and speed slices (equal length,
-    /// indexed by fleet slot).
-    ///
-    /// # Panics
-    /// Panics if the slices disagree in length.
+    /// Wraps per-slot load words (indexed by fleet slot). The words went
+    /// through [`LoadWord::new`], which is where an out-of-range speed
+    /// or queue is rejected.
     #[must_use]
-    pub fn new(queues: &'a [u64], speeds: &'a [u64]) -> Self {
-        assert_eq!(
-            queues.len(),
-            speeds.len(),
-            "queue and speed mirrors must cover the same slots"
-        );
-        DenseView { queues, speeds }
+    pub fn new(words: &'a [LoadWord]) -> Self {
+        DenseView { words }
     }
 }
 
 impl LoadView for DenseView<'_> {
     #[inline]
     fn load(&self, slot: usize) -> (u64, u64) {
-        (self.queues[slot], self.speeds[slot])
+        self.words[slot].unpack()
     }
 
     #[inline]
-    fn dense(&self) -> Option<(&[u64], &[u64])> {
-        Some((self.queues, self.speeds))
+    fn dense(&self) -> Option<&[LoadWord]> {
+        Some(self.words)
     }
 }
 
@@ -417,22 +450,38 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dense_view_exposes_its_slices() {
-        let queues = [3u64, 0, 7];
-        let speeds = [1u64, 8, 2];
-        let view = DenseView::new(&queues, &speeds);
+    fn dense_view_exposes_its_words() {
+        let words = [
+            LoadWord::new(3, 1),
+            LoadWord::new(0, 8),
+            LoadWord::new(7, 2),
+        ];
+        let view = DenseView::new(&words);
         assert_eq!(view.load(0), (3, 1));
         assert_eq!(view.load(2), (7, 2));
         assert_eq!(view.queue_len(1), 0);
-        let (q, s) = view.dense().expect("plain slices are dense");
-        assert_eq!(q, &queues);
-        assert_eq!(s, &speeds);
+        assert_eq!(view.dense().expect("plain words are dense"), &words);
     }
 
     #[test]
-    #[should_panic(expected = "same slots")]
-    fn dense_view_rejects_mismatched_mirrors() {
-        let _ = DenseView::new(&[1, 2], &[1]);
+    fn load_word_is_one_packed_u64() {
+        assert_eq!(std::mem::size_of::<LoadWord>(), 8);
+        assert_eq!(std::mem::align_of::<LoadWord>(), 8);
+        let top = u64::from(u32::MAX);
+        assert_eq!(LoadWord::new(top, top).unpack(), (top, top));
+    }
+
+    #[test]
+    #[should_panic(expected = "server speed 4294967296 exceeds")]
+    fn dense_view_words_reject_speeds_beyond_u32() {
+        let words = [LoadWord::new(0, 1), LoadWord::new(0, 1 << 32)];
+        let _ = DenseView::new(&words);
+    }
+
+    #[test]
+    #[should_panic(expected = "queue length 4294967296 exceeds")]
+    fn load_word_rejects_queues_beyond_u32() {
+        let _ = LoadWord::new(1 << 32, 1);
     }
 
     fn two_member(m: &Membership, drop_slot: usize) -> Membership {

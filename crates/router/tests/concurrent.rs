@@ -8,7 +8,7 @@
 use bnb_router::{Member, Membership, PlacementSpec, Router, RouterBuilder};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 /// Deterministic slot → speed mapping, shared by the initial fleet and
@@ -35,11 +35,16 @@ proptest! {
         };
         let (mut view, handle) = RouterBuilder::new(spec).seed(seed).build(&speeds);
         let stop = Arc::new(AtomicBool::new(false));
+        // The writer waits here until every reader has routed once, so
+        // `total > 0` below holds whatever the thread timing.
+        const READERS: usize = 3;
+        let routed_once = Arc::new(Barrier::new(READERS + 1));
 
-        let readers: Vec<_> = (0..3)
+        let readers: Vec<_> = (0..READERS)
             .map(|r| {
                 let mut h = handle.clone();
                 let stop = Arc::clone(&stop);
+                let routed_once = Arc::clone(&routed_once);
                 thread::spawn(move || {
                     let mut routes = 0u64;
                     let mut key = seed ^ (r as u64) << 32;
@@ -71,6 +76,9 @@ proptest! {
                         snap.record_join(target);
                         snap.record_depart(target);
                         routes += 1;
+                        if routes == 1 {
+                            routed_once.wait();
+                        }
                     }
                     routes
                 })
@@ -80,6 +88,7 @@ proptest! {
         // The writer: each churn tick retires the lowest alive slot and
         // brings up a fresh one (ids == slots here, strictly increasing,
         // so the incremental ring path is exercised too).
+        routed_once.wait();
         for k in 0..churns {
             let mut members: Vec<Member> =
                 view.snapshot().membership().members()[1..].to_vec();

@@ -33,6 +33,7 @@
 //!                                      # file cannot be produced)
 //! ```
 
+use bnb_cluster::sharded::shard_imbalance;
 use bnb_cluster::{find_scenario, ArrivalProcess, ClusterSpec, PlacementSpec, SimBuilder};
 use bnb_core::prelude::*;
 use bnb_distributions::{ExponentialBlock, Xoshiro256PlusPlus};
@@ -309,7 +310,7 @@ fn measure_telemetry(requests: u64, budget: Duration) -> TelemetryBlock {
 }
 
 /// The sharded-scale cell: the `giant` scenario (131072 servers)
-/// serially and on the space-sharded engine at 1 and 4 workers,
+/// serially and on the space-sharded engine at 1, 2 and 4 workers,
 /// interleaved.
 struct ShardedBlock {
     /// Cores the bench host exposes (`available_parallelism`), recorded
@@ -320,64 +321,81 @@ struct ShardedBlock {
     /// reference the sharded rates are read against.
     serial_req_per_sec: f64,
     w1_req_per_sec: f64,
+    w2_req_per_sec: f64,
     w4_req_per_sec: f64,
+    /// `max · 4 / arrived` over the four shards' arrival counts
+    /// (deterministic; 1.0 is a perfect split).
+    w4_imbalance: f64,
 }
 
 /// Context for the sharded cell's speedup figure (embedded in the
 /// snapshot). Mirrors the router grid's single-core caveat.
 const SHARDED_NOTE: &str = "the giant cell runs the 131072-server scenario serially (fused loop) \
-     and on the space-sharded engine at 1 and 4 workers, interleaved, best run each; the \
-     serial rate is the reference. On hosts with < 4 cores the four workers share fewer cores, \
-     so w4/w1 is not a clean parallel-scaling figure (same caveat as the router contention \
-     grid). The 2.26x once recorded here on a single-core host came from each shard's 4x \
-     smaller departure-board population, not from cache locality: a fixed 32-bag wheel \
-     re-swept an overflow vector holding most pending departures, a cost that grows with the \
-     population. Pinned to one core, w4/w1 went from ~1.45x to ~0.9x (medians of 5 runs at \
-     200k requests) when the wheel was sized from the slot count, with the partition \
-     unchanged. The >= 2x gate arms only at cores >= 4";
+     and on the space-sharded engine at 1, 2 and 4 workers, interleaved, best run each; the \
+     serial rate is the reference. shard_imbalance_w4 is max * 4 / arrived over the four \
+     shards' arrival counts (deterministic; 1.0 is a perfect split). Shards are cut at the \
+     cumulative-speed quantiles; cut by slot count, the fast half of this slow-first fleet \
+     held 8/9 of the capacity at 2 workers. That change, together with shard-local latency \
+     sorting and drawing each epoch's arrivals during the previous advance round, measured \
+     (cluster-sim --scenario giant --requests 200000, 2-vCPU host, medians of 5 alternating \
+     runs, before -> after) W1 8.7e5 -> 8.6e5, W2 9.6e5 -> 1.50e6, W4 1.28e6 -> 1.55e6 req/s. \
+     The W4 imbalance reads ~1.11, not 1.0: on this lightly filled fleet d-choice sends the \
+     fast servers more than their capacity share. On hosts with < 4 cores the four workers \
+     share fewer cores, so w4/w1 is not a clean parallel-scaling figure. The 2.26x once \
+     recorded here on a single-core host came from each shard's smaller departure-board \
+     population, not from cache locality (see README). The >= 2x gate arms only at cores >= 4";
 
-/// Times the `giant` scenario serially and on the sharded engine at 1
-/// and then 4 workers, strictly interleaved inside one budget (same
+/// Times the `giant` scenario serially and on the sharded engine at 1,
+/// 2 and then 4 workers, strictly interleaved inside one budget (same
 /// weather-sharing rationale as [`measure_telemetry`]), best single
 /// run each. Fleet construction is included, as in every cluster cell.
 fn measure_sharded(requests: u64, budget: Duration) -> ShardedBlock {
     let scenario = find_scenario("giant")
         .unwrap_or_else(|| unreachable!("giant scenario missing from registry"));
     // `None` is the serial engine; `Some(w)` the sharded one at `w`
-    // workers.
+    // workers. Returns the rate and, when sharded, the shard imbalance.
     let run = |workers: Option<usize>| {
         let start = Instant::now();
         let mut builder = SimBuilder::scenario(scenario, requests).seed(bnb_bench::BENCH_SEED);
         if let Some(w) = workers {
             builder = builder.workers(w);
         }
-        let metrics = builder.build().run();
+        let mut sim = builder.build();
+        let metrics = sim.run();
         let elapsed = start.elapsed();
         assert_eq!(
             metrics.completed + metrics.dropped + metrics.orphaned,
             requests,
             "sharded bench lost requests"
         );
-        requests as f64 / elapsed.as_secs_f64()
+        (
+            requests as f64 / elapsed.as_secs_f64(),
+            shard_imbalance(&sim.telemetry_snapshot()),
+        )
     };
     run(None);
     run(Some(1));
-    run(Some(4));
+    run(Some(2));
+    let (_, w4_imbalance) = run(Some(4));
     let start = Instant::now();
-    let mut best_serial = run(None);
-    let mut best_w1 = run(Some(1));
-    let mut best_w4 = run(Some(4));
+    let mut best_serial = run(None).0;
+    let mut best_w1 = run(Some(1)).0;
+    let mut best_w2 = run(Some(2)).0;
+    let mut best_w4 = run(Some(4)).0;
     while start.elapsed() < budget {
-        best_serial = best_serial.max(run(None));
-        best_w1 = best_w1.max(run(Some(1)));
-        best_w4 = best_w4.max(run(Some(4)));
+        best_serial = best_serial.max(run(None).0);
+        best_w1 = best_w1.max(run(Some(1)).0);
+        best_w2 = best_w2.max(run(Some(2)).0);
+        best_w4 = best_w4.max(run(Some(4)).0);
     }
     ShardedBlock {
         cores: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
         requests_per_iter: requests,
         serial_req_per_sec: best_serial,
         w1_req_per_sec: best_w1,
+        w2_req_per_sec: best_w2,
         w4_req_per_sec: best_w4,
+        w4_imbalance: w4_imbalance.expect("a sharded run reports its shard imbalance"),
     }
 }
 
@@ -721,7 +739,7 @@ fn render_cluster_json(
         .map_or(0, |d| d.as_secs());
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema_version\": 6,\n");
+    out.push_str("  \"schema_version\": 7,\n");
     out.push_str(&format!("  \"mode\": \"{}\",\n", json_escape_free(mode)));
     out.push_str(&format!("  \"generated_unix_secs\": {generated},\n"));
     out.push_str(&format!("  \"seed\": {},\n", bnb_bench::BENCH_SEED));
@@ -756,21 +774,26 @@ fn render_cluster_json(
     // Schema 4: the sharded-scale cell — the giant (131072-server)
     // scenario on the space-sharded engine at 1 vs 4 workers, with the
     // host's core count recorded next to the ratio (see SHARDED_NOTE).
-    // Schema 5 adds the serial engine's rate on the same fleet.
+    // Schema 5 adds the serial engine's rate on the same fleet, schema
+    // 7 the 2-worker rate and the 4-worker shard imbalance.
     out.push_str(&format!(
         "  \"sharded\": {{\"scenario\": \"giant\", \"cores\": {}, \
          \"requests_per_iter\": {}, \
          \"req_per_sec_serial\": {:.4e}, \
          \"req_per_sec_w1\": {:.4e}, \
+         \"req_per_sec_w2\": {:.4e}, \
          \"req_per_sec_w4\": {:.4e}, \
          \"speedup_w4_over_w1\": {:.3}, \
+         \"shard_imbalance_w4\": {:.4}, \
          \"note\": \"{SHARDED_NOTE}\"}},\n",
         sharded.cores,
         sharded.requests_per_iter,
         sharded.serial_req_per_sec,
         sharded.w1_req_per_sec,
+        sharded.w2_req_per_sec,
         sharded.w4_req_per_sec,
         sharded.w4_req_per_sec / sharded.w1_req_per_sec,
+        sharded.w4_imbalance,
     ));
     // Schema 5: the scheduler-scaling cell — the lazy board's hold pair
     // at a small and the giant population, and their ratio (gated by
@@ -1046,12 +1069,14 @@ fn main() -> ExitCode {
     let sharded = measure_sharded(sharded_requests, sharded_budget);
     println!(
         "cluster/sharded giant           serial {:>10.3e} req/s, w1 {:>10.3e} req/s, \
-         w4 {:>10.3e} req/s ({:.2}x on {} core(s))",
+         w2 {:>10.3e} req/s, w4 {:>10.3e} req/s ({:.2}x on {} core(s), w4 imbalance {:.3})",
         sharded.serial_req_per_sec,
         sharded.w1_req_per_sec,
+        sharded.w2_req_per_sec,
         sharded.w4_req_per_sec,
         sharded.w4_req_per_sec / sharded.w1_req_per_sec,
         sharded.cores,
+        sharded.w4_imbalance,
     );
 
     // The scheduler-scaling cell: the lazy board's hold pair at 64 and

@@ -123,7 +123,10 @@ impl SimBuilder {
     }
 
     /// Runs on the space-sharded parallel engine with `workers` worker
-    /// threads. Output is byte-identical under any worker count.
+    /// threads (at most one per server). Each worker owns one contiguous
+    /// shard of the fleet, cut so the shards hold near-equal capacity
+    /// (speed sum) rather than equal slot counts; the cut is derived from
+    /// the speeds alone. Output is byte-identical under any worker count.
     ///
     /// # Panics
     /// [`SimBuilder::build`] panics if `workers` is zero.

@@ -32,12 +32,13 @@
 //!   default, the binary heap as differential oracle), with periodic
 //!   churn rebalanced incrementally through
 //!   [`bnb_hashring::churn::MembershipRing`],
-//! * [`sharded`] — the space-sharded parallel engine: the fleet split
-//!   into contiguous slot ranges across worker threads, placement
-//!   routed against a frozen per-epoch view of the load words, each
-//!   shard's slots kept in the fleet's record type, cross-shard joins
-//!   exchanged at epoch boundaries, per-shard reports merged in shard
-//!   order — byte-identical output under any worker count,
+//! * [`sharded`] — the space-sharded parallel engine: the fleet cut
+//!   into contiguous slot ranges of near-equal capacity (speed sum)
+//!   across worker threads, placement routed against a frozen
+//!   per-epoch view of the load words, each shard's slots kept in the
+//!   fleet's record type, cross-shard joins exchanged at epoch
+//!   boundaries, per-shard reports merged in shard order —
+//!   byte-identical output under any worker count,
 //! * [`builder`] — the unified [`SimBuilder`] construction surface
 //!   over all of the above (scenario or spec, seed, scheduler,
 //!   telemetry, worker count),

@@ -5,6 +5,17 @@
 //! through [`bnb_stats::Mergeable`]/[`bnb_stats::merge_ordered`] so the
 //! output is **byte-identical under any worker count**.
 //!
+//! ## Shards are cut by capacity
+//!
+//! Placement sends each server traffic in proportion to its speed, so a
+//! shard's work is its slots' speed sum, not their number. The base slot
+//! range is cut into `W` contiguous shards at the cumulative-speed
+//! quantiles (`capacity_bounds`): cut `s` is the prefix whose speed sum
+//! is closest to `s/W` of the total, and every shard keeps at least one
+//! slot. A churn joiner takes its victim's shard (it has the victim's
+//! speed), so the balance holds under churn. The cut is derived from the
+//! speeds alone; it is not an option.
+//!
 //! ## The epoch machine
 //!
 //! Simulated time is cut into fixed epochs of length
@@ -16,25 +27,28 @@
 //!    `derive_seed`-derived churn stream as the serial engine, the
 //!    membership is rebuilt, and per-shard deactivate/activate ops are
 //!    binned to the shards owning the affected slots.
-//! 2. **Arrivals (coordinator).** Arrival times are drawn centrally
-//!    from the *identical* arrival stream the serial engine consumes
-//!    (`derive_seed(seed, ARRIVAL_STREAM, 0)`), so the offered traffic
-//!    is a function of the seed alone.
-//! 3. **Place (parallel).** The epoch's arrivals are chunked across the
-//!    workers; each worker routes its chunk against the **frozen**
+//! 2. **Place (parallel).** The epoch's arrival times are chunked across
+//!    the workers; each worker routes its chunk against the **frozen**
 //!    epoch view (a [`DenseView`] over the coordinator's packed
 //!    `(queue, speed)` words) through
 //!    [`PlacementEngine::place_stateless`], with a per-arrival RNG
 //!    derived from the arrival's global index — so a target is a pure
 //!    function of `(spec, seed, arrival index)`, not of which worker
-//!    computed it.
-//! 4. **Advance (parallel).** Each shard applies its churn ops, merges
-//!    its binned arrivals with its local departure board
+//!    computed it — and bins the placed arrivals by owning shard.
+//! 3. **Advance (parallel).** Each shard applies its churn ops, merges
+//!    its binned arrivals (one time-ordered run per placing worker, in
+//!    arrival order) with its local departure board
 //!    ([`bnb_queueing::LazyBoard`], departures strictly before an
 //!    arrival go first, the arrival wins exact ties — the serial
 //!    engine's convention), and reports the slots whose queue lengths
 //!    changed. The coordinator folds those deltas into the next
 //!    epoch's frozen view.
+//! 4. **Arrivals (coordinator, overlapped with 3).** While the shards
+//!    advance, the coordinator draws the *next* epoch's arrival times
+//!    from the *identical* arrival stream the serial engine consumes
+//!    (`derive_seed(seed, ARRIVAL_STREAM, 0)`). The times chain on that
+//!    stream alone, so the offered traffic is a function of the seed
+//!    alone and drawing it early changes nothing.
 //!
 //! A shard keeps its slots in the serial fleet's hot record
 //! ([`ClusterServer`]) and admits, completes and evicts jobs through the
@@ -42,7 +56,9 @@
 //! counters and the admission FIFO (inline ring plus spill lanes) are
 //! one implementation for both engines. What stays shard-specific is
 //! the slot addressing (local index ↔ global slot, the record's id)
-//! and the counter-keyed service draws.
+//! and the counter-keyed service draws. In debug builds every epoch
+//! boundary audits conservation per shard: arrivals routed equal
+//! completed + dropped + orphaned + queued.
 //!
 //! After the request budget is offered, a final drain round pops every
 //! remaining departure and the shards return their reports, which merge
@@ -69,8 +85,12 @@
 //! are slot-local — so each slot's trajectory depends only on its own
 //! arrival sequence and its own service counters, never on which shard
 //! processes it. The merge then canonicalises the only order-sensitive
-//! reductions: per-slot records sort by global slot, and latencies are
-//! counting-sorted into slot-major order before the mean is summed.
+//! reductions: per-slot records sort by global slot, and latencies go
+//! slot-major before the mean is summed. Each shard counting-sorts its
+//! own latencies by slot in parallel; base ranges are contiguous and
+//! arrive in shard order, so they concatenate, and only the latencies
+//! of churn-added slots (which interleave across shards) need a stable
+//! sort by global slot.
 
 use crate::arrivals::ArrivalSampler;
 use crate::fleet::{ClusterServer, Spill};
@@ -118,29 +138,77 @@ enum ChurnOp {
 
 /// The frozen per-epoch fleet view: one packed `(queue, speed)`
 /// [`LoadWord`] per global slot, read by the placement round through
-/// [`DenseView`]. Shared as an `Arc` with every worker for the round,
-/// reclaimed (and mutated in place via [`Arc::make_mut`]) by the
-/// coordinator between rounds.
+/// [`DenseView`], and the shard owning each global slot, read when the
+/// placement round bins its arrivals. Shared as an `Arc` with every
+/// worker for the round (workers drop their handle before replying),
+/// and mutated in place via [`Arc::make_mut`] by the coordinator
+/// between rounds.
 #[derive(Debug, Clone)]
 struct EpochView {
     words: Vec<LoadWord>,
+    owner: Vec<u32>,
+}
+
+/// Cuts the base slot range `[0, speeds.len())` into `shards`
+/// contiguous ranges of near-equal capacity; returns the `shards + 1`
+/// bounds, shard `s` owning `[bounds[s], bounds[s + 1])`. Cut `s` is the
+/// prefix whose speed sum is closest to `s / shards` of the total
+/// (ties to the shorter prefix), clamped so that every shard keeps at
+/// least one slot. The arithmetic is exact (`u128`), so the cut is a
+/// pure function of the speeds.
+///
+/// # Panics
+/// Panics unless `1 <= shards <= speeds.len()`.
+fn capacity_bounds(speeds: &[u64], shards: usize) -> Vec<u32> {
+    let n = speeds.len();
+    assert!(
+        (1..=n).contains(&shards),
+        "need 1..={n} shards, got {shards}"
+    );
+    let prefix: Vec<u128> = std::iter::once(0)
+        .chain(speeds.iter().scan(0u128, |acc, &s| {
+            *acc += u128::from(s);
+            Some(*acc)
+        }))
+        .collect();
+    let (total, k) = (prefix[n], shards as u128);
+    let mut bounds = vec![0u32; shards + 1];
+    bounds[shards] = n as u32;
+    for s in 1..shards {
+        // Compare `k · prefix[c]` with `s · total` to stay in integers.
+        let target = s as u128 * total;
+        let above = prefix.partition_point(|&p| k * p < target);
+        let closest = if above > 0 && target - k * prefix[above - 1] <= k * prefix[above] - target {
+            above - 1
+        } else {
+            above
+        };
+        let lo = bounds[s - 1] as usize + 1;
+        bounds[s] = closest.clamp(lo, n - (shards - s)) as u32;
+    }
+    bounds
 }
 
 /// A task sent to a worker thread.
 enum Task {
-    /// Route arrivals `[first_index, first_index + count)` against the
-    /// frozen view; reply with their targets.
+    /// Route the epoch's arrivals `times[start..start + count]` against
+    /// the frozen view (`times[0]` is global arrival `first_index`) and
+    /// bin them by owning shard; reply with one bin per shard.
     Place {
         view: Arc<EpochView>,
         engine: Arc<PlacementEngine>,
+        times: Arc<Vec<Time>>,
         first_index: u64,
+        start: usize,
         count: usize,
     },
     /// Apply churn ops and process this shard's arrivals/departures for
-    /// the epoch `[t0, t1)`; reply with queue-length deltas.
+    /// the epoch `[t0, t1)`; reply with queue-length deltas. `runs` holds
+    /// one time-ordered run of `(time, global slot)` per placing worker,
+    /// in arrival order.
     Advance {
         ops: Vec<ChurnOp>,
-        arrivals: Vec<(Time, u32)>,
+        runs: Vec<Vec<(Time, u32)>>,
         t0: Time,
         t1: Time,
     },
@@ -154,7 +222,7 @@ enum Task {
 enum Reply {
     Placed {
         worker: usize,
-        targets: Vec<u32>,
+        bins: Vec<Vec<(Time, u32)>>,
     },
     Advanced {
         deltas: Vec<(u32, u32)>,
@@ -167,6 +235,21 @@ enum Reply {
         shard: usize,
         report: Box<(ShardReport, MetricsSnapshot)>,
     },
+    /// The worker panicked (a failed assertion); sent by [`PanicNotice`].
+    Panicked,
+}
+
+/// Held by each worker thread: if the worker unwinds, tells the
+/// coordinator, which would otherwise wait forever for its reply (the
+/// other workers keep the reply channel open).
+struct PanicNotice(mpsc::Sender<Reply>);
+
+impl Drop for PanicNotice {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let _ = self.0.send(Reply::Panicked);
+        }
+    }
 }
 
 /// Everything a shard accumulated over a run, merged in shard order
@@ -176,9 +259,14 @@ struct ShardReport {
     /// `(global slot, speed, completed, max_queue, dropped)` per owned
     /// slot — appended across shards, then sorted by global slot.
     slots: Vec<(u32, u64, u64, u64, u64)>,
-    /// `(global slot, latency)` in per-shard completion order —
-    /// counting-sorted into slot-major order before any sum.
-    latencies: Vec<(u32, f64)>,
+    /// Latencies of the shard's base slots, slot-major (each slot's in
+    /// completion order). Base ranges are contiguous and merge in shard
+    /// order, so the concatenation is slot-major over all base slots.
+    base_latencies: Vec<f64>,
+    /// `(global slot, latency)` of the shard's churn-added slots,
+    /// slot-major; these interleave across shards, so the merged list is
+    /// stable-sorted by global slot.
+    churn_latencies: Vec<(u32, f64)>,
     orphaned: u64,
     last_event: Time,
 }
@@ -186,7 +274,9 @@ struct ShardReport {
 impl Mergeable for ShardReport {
     fn merge_from(&mut self, other: &Self) {
         self.slots.extend_from_slice(&other.slots);
-        self.latencies.extend_from_slice(&other.latencies);
+        self.base_latencies.extend_from_slice(&other.base_latencies);
+        self.churn_latencies
+            .extend_from_slice(&other.churn_latencies);
         self.orphaned += other.orphaned;
         self.last_event = self.last_event.max(other.last_event);
     }
@@ -206,6 +296,9 @@ struct ShardState {
     /// Initial fleet size: global slots `>= n0` are churn-added and
     /// resolve through `local_of_churn`.
     n0: u32,
+    /// Base slots owned (`hi - lo`): local slots `>= n_base` are
+    /// churn-added, in join (= global slot) order.
+    n_base: usize,
     local_of_churn: HashMap<u32, u32>,
     servers: Vec<ClusterServer>,
     spill: Spill,
@@ -221,8 +314,12 @@ struct ShardState {
     touched_stamp: Vec<u64>,
     epoch_stamp: u64,
     touched: Vec<u32>,
+    /// `(local slot, latency)` in completion order.
     latencies: Vec<(u32, f64)>,
     orphaned: u64,
+    /// Arrivals routed to this shard so far (the conservation audit's
+    /// left-hand side).
+    routed: u64,
     last_event: Time,
 }
 
@@ -245,6 +342,7 @@ impl ShardState {
             shard,
             lo,
             n0: speeds.len() as u32,
+            n_base: n,
             local_of_churn: HashMap::new(),
             servers: (lo..hi)
                 .map(|g| ClusterServer::new(speeds[g as usize], u64::from(g)))
@@ -259,6 +357,7 @@ impl ShardState {
             touched: Vec::new(),
             latencies: Vec::new(),
             orphaned: 0,
+            routed: 0,
             last_event: 0.0,
         }
     }
@@ -330,7 +429,7 @@ impl ShardState {
     #[inline]
     fn depart(&mut self, l: usize, t: Time) {
         let (latency, more) = self.servers[l].complete(t, &mut self.spill);
-        self.latencies.push((self.global(l), latency));
+        self.latencies.push((l as u32, latency));
         if more {
             self.schedule_service(l, t);
         }
@@ -362,13 +461,25 @@ impl ShardState {
         self.last_event = t;
     }
 
+    /// Conservation at an epoch boundary: every arrival routed to this
+    /// shard was completed, dropped, orphaned, or is still queued.
+    fn conserves(&self) -> bool {
+        let held: u64 = self
+            .servers
+            .iter()
+            .map(|s| s.completed() + s.dropped() + s.queue_len())
+            .sum();
+        held + self.orphaned == self.routed
+    }
+
     /// One epoch: departures before `t0`, churn ops at `t0`, then the
-    /// binned arrivals merged with local departures up to `t1`.
-    /// Returns the queue-length deltas of every slot touched.
+    /// binned arrivals (`runs`, concatenated in order) merged with local
+    /// departures up to `t1`. Returns the queue-length deltas of every
+    /// slot touched.
     fn advance(
         &mut self,
         ops: Vec<ChurnOp>,
-        arrivals: &[(Time, u32)],
+        runs: &[Vec<(Time, u32)>],
         t0: Time,
         t1: Time,
     ) -> Vec<(u32, u32)> {
@@ -378,11 +489,17 @@ impl ShardState {
         for op in ops {
             self.apply(op);
         }
-        for &(t, g) in arrivals {
+        for &(t, g) in runs.iter().flatten() {
             self.drain_until(t);
             self.arrive(g, t);
         }
+        self.routed += runs.iter().map(|r| r.len() as u64).sum::<u64>();
         self.drain_until(t1);
+        debug_assert!(
+            self.conserves(),
+            "shard {} lost or invented a job",
+            self.shard
+        );
         self.touched
             .iter()
             .map(|&l| {
@@ -401,13 +518,54 @@ impl ShardState {
                 self.depart(l, t);
             }
         }
+        debug_assert!(
+            self.conserves(),
+            "shard {} lost or invented a job",
+            self.shard
+        );
+    }
+
+    /// Counting-sorts the latencies into slot-major order (each slot's
+    /// in completion order). Local slots run in global order — base
+    /// slots first, then churn-added ones in join order — so the result
+    /// is slot-major by global slot too; it is split at the base/churn
+    /// boundary, the churn part tagged with its global slots.
+    fn slot_major_latencies(&mut self) -> (Vec<f64>, Vec<(u32, f64)>) {
+        let latencies = std::mem::take(&mut self.latencies);
+        let mut offsets = vec![0usize; self.servers.len() + 1];
+        for &(l, _) in &latencies {
+            offsets[l as usize + 1] += 1;
+        }
+        for l in 0..self.servers.len() {
+            offsets[l + 1] += offsets[l];
+        }
+        let base_len = offsets[self.n_base];
+        let mut sorted = vec![0.0f64; latencies.len()];
+        for &(l, v) in &latencies {
+            sorted[offsets[l as usize]] = v;
+            offsets[l as usize] += 1;
+        }
+        drop(latencies);
+        // `offsets[l]` is now the end of slot `l`'s run.
+        let mut start = base_len;
+        let churn = (self.n_base..self.servers.len())
+            .flat_map(|l| {
+                let run = start..offsets[l];
+                start = offsets[l];
+                let g = self.global(l);
+                sorted[run].iter().map(move |&v| (g, v))
+            })
+            .collect();
+        sorted.truncate(base_len);
+        (sorted, churn)
     }
 
     /// Consumes the shard into its report and telemetry snapshot.
-    fn finish(self) -> (ShardReport, MetricsSnapshot) {
+    fn finish(mut self) -> (ShardReport, MetricsSnapshot) {
         let mut snap = MetricsSnapshot::new();
         self.board.stats().record_into(&mut snap);
         snap.add_counter("sharded.shard_slots", self.servers.len() as u64);
+        let (base_latencies, churn_latencies) = self.slot_major_latencies();
         let slots = self
             .servers
             .iter()
@@ -424,7 +582,8 @@ impl ShardState {
         (
             ShardReport {
                 slots,
-                latencies: self.latencies,
+                base_latencies,
+                churn_latencies,
                 orphaned: self.orphaned,
                 last_event: self.last_event,
             },
@@ -433,34 +592,70 @@ impl ShardState {
     }
 }
 
-/// Routes arrivals `[first, first + count)` against the frozen epoch
-/// view. Pure in `(engine, view, place_seed, key_seed, index)`: the
-/// same arrival gets the same target no matter which worker (or how
-/// many workers) computes the chunk.
+/// Routes the arrivals at `times` (the first is global arrival `first`)
+/// against the frozen epoch view and bins them by owning shard, each bin
+/// in arrival order. Pure in `(engine, view, place_seed, key_seed,
+/// index)`: the same arrival gets the same target no matter which worker
+/// (or how many workers) computes the chunk.
 fn place_chunk(
     engine: &PlacementEngine,
     view: &EpochView,
     place_seed: u64,
     key_seed: u64,
     first: u64,
-    count: usize,
-) -> Vec<u32> {
+    times: &[Time],
+    shards: usize,
+) -> Vec<Vec<(Time, u32)>> {
     let dense = DenseView::new(&view.words);
     let needs_key = engine.needs_key();
-    (0..count as u64)
-        .map(|k| {
-            let i = first + k;
-            let mut rng = Xoshiro256PlusPlus::from_u64_seed(derive_seed(place_seed, i, 0));
-            // Same counter-hashed key scheme as the serial engine,
-            // which increments `arrived` before hashing — hence `i + 1`.
-            let key = if needs_key {
-                mix64(key_seed ^ (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            } else {
-                0
-            };
-            engine.place_stateless(&dense, key, &mut rng) as u32
-        })
-        .collect()
+    let mut bins = vec![Vec::new(); shards];
+    for (i, &t) in (first..).zip(times) {
+        let mut rng = Xoshiro256PlusPlus::from_u64_seed(derive_seed(place_seed, i, 0));
+        // Same counter-hashed key scheme as the serial engine,
+        // which increments `arrived` before hashing — hence `i + 1`.
+        let key = if needs_key {
+            mix64(key_seed ^ (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        } else {
+            0
+        };
+        let g = engine.place_stateless(&dense, key, &mut rng) as u32;
+        bins[view.owner[g as usize] as usize].push((t, g));
+    }
+    bins
+}
+
+/// Draws the arrival times before `t1` off the serial arrival stream.
+/// `pending` is the next undrawn arrival (`None` once `requests` are
+/// drawn) and `drawn` the count drawn so far.
+fn draw_before(
+    sampler: &mut ArrivalSampler,
+    pending: &mut Option<Time>,
+    drawn: &mut u64,
+    requests: u64,
+    t1: Time,
+) -> Vec<Time> {
+    let mut times = Vec::new();
+    while let Some(t) = *pending {
+        if t >= t1 {
+            break;
+        }
+        times.push(t);
+        *drawn += 1;
+        *pending = (*drawn < requests).then(|| sampler.next_after(t));
+    }
+    times
+}
+
+/// A run's shard imbalance: the busiest shard's share of the arrivals
+/// times the shard count, `max · W / arrived` (1.0 is a perfect split).
+/// Read from a sharded run's telemetry snapshot; `None` for a serial run
+/// or a run that offered nothing.
+#[must_use]
+pub fn shard_imbalance(snapshot: &MetricsSnapshot) -> Option<f64> {
+    let shards = snapshot.counter("sharded.shards")?;
+    let max = snapshot.counter("sharded.shard_arrivals_max")?;
+    let arrived = snapshot.counter("sim.arrived").filter(|&a| a > 0)?;
+    Some((max * shards) as f64 / arrived as f64)
 }
 
 /// The space-sharded parallel cluster simulator (see the module docs
@@ -481,7 +676,7 @@ pub struct ShardedClusterSim {
 impl ShardedClusterSim {
     /// Builds the sharded simulator with the given worker count
     /// (clamped to the fleet size; each worker owns one contiguous
-    /// shard of slots).
+    /// shard of slots, cut by capacity — see `capacity_bounds`).
     ///
     /// # Panics
     /// Panics if `workers` is zero or the spec is invalid (same
@@ -558,25 +753,21 @@ fn run_sharded(spec: &ClusterSpec, seed: u64, workers: usize) -> (ClusterMetrics
     let s_count = workers.min(n0).max(1);
     let speeds0 = spec.speeds.as_slice();
     let requests = spec.requests;
+    let bounds = capacity_bounds(speeds0, s_count);
 
-    // Coordinator-side load words: the authoritative epoch-boundary
-    // state placement freezes against.
+    // Coordinator-side load words (the authoritative epoch-boundary
+    // state placement freezes against) and the slot-to-shard map: base
+    // slots by the capacity cut the shards are built over, churn joiners
+    // by their victim's shard.
     let mut view = Arc::new(EpochView {
         words: speeds0.iter().map(|&s| LoadWord::new(0, s)).collect(),
+        owner: (0..s_count as u32)
+            .flat_map(|s| (bounds[s as usize]..bounds[s as usize + 1]).map(move |_| s))
+            .collect(),
     });
     let mut alive_slots: Vec<u32> = (0..n0 as u32).collect();
     let mut ids: Vec<u64> = (0..n0 as u64).collect();
     let mut next_id = n0 as u64;
-    // Base slots partition contiguously (the same `[s·n0/S, (s+1)·n0/S)`
-    // ranges the shards are built over); churn-added slots round-robin.
-    let mut owner: Vec<u32> = vec![0; n0];
-    for s in 0..s_count {
-        let lo = s * n0 / s_count;
-        let hi = (s + 1) * n0 / s_count;
-        for o in &mut owner[lo..hi] {
-            *o = s as u32;
-        }
-    }
     let membership = |alive_slots: &[u32], ids: &[u64], words: &[LoadWord]| {
         Membership::new(
             alive_slots
@@ -602,7 +793,11 @@ fn run_sharded(spec: &ClusterSpec, seed: u64, workers: usize) -> (ClusterMetrics
     let key_seed = seed;
 
     let delta = EPOCH_ARRIVALS / spec.arrivals.peak_rate();
-    let mut generated: u64 = 0;
+    // Arrivals offered by the epochs already run; `drawn` runs one epoch
+    // ahead of it (the next epoch's times are drawn during this one's
+    // advance round).
+    let mut offered: u64 = 0;
+    let mut drawn: u64 = 0;
     let mut pending: Option<Time> = (requests > 0).then(|| sampler.next_after(0.0));
     let mut next_tick: Option<Time> = spec.churn.map(|c| c.start);
     let mut epoch: u64 = 0;
@@ -611,6 +806,7 @@ fn run_sharded(spec: &ClusterSpec, seed: u64, workers: usize) -> (ClusterMetrics
     let mut joins = 0u64;
     let mut leaves = 0u64;
     let mut last_event: Time = 0.0;
+    let mut shard_arrivals = vec![0u64; s_count];
 
     let mut ordered: Vec<Option<(ShardReport, MetricsSnapshot)>> =
         (0..s_count).map(|_| None).collect();
@@ -622,35 +818,37 @@ fn run_sharded(spec: &ClusterSpec, seed: u64, workers: usize) -> (ClusterMetrics
             let (tx, rx) = mpsc::channel::<Task>();
             task_txs.push(tx);
             let reply = reply_tx.clone();
-            let lo = (s * n0 / s_count) as u32;
-            let hi = ((s + 1) * n0 / s_count) as u32;
+            let (lo, hi) = (bounds[s], bounds[s + 1]);
             let mut state = ShardState::new(s, lo, hi, speeds0, spec.queue_capacity, service_seed);
             scope.spawn(move || {
+                let _notice = PanicNotice(reply.clone());
                 while let Ok(task) = rx.recv() {
                     match task {
                         Task::Place {
                             view,
                             engine,
+                            times,
                             first_index,
+                            start,
                             count,
                         } => {
-                            let targets = place_chunk(
+                            let bins = place_chunk(
                                 &engine,
                                 &view,
                                 place_seed,
                                 key_seed,
-                                first_index,
-                                count,
+                                first_index + start as u64,
+                                &times[start..start + count],
+                                s_count,
                             );
-                            let _ = reply.send(Reply::Placed { worker: s, targets });
+                            // Release the shared round state before
+                            // replying, so the coordinator's next
+                            // `Arc::make_mut` never has to copy it.
+                            drop((view, engine, times));
+                            let _ = reply.send(Reply::Placed { worker: s, bins });
                         }
-                        Task::Advance {
-                            ops,
-                            arrivals,
-                            t0,
-                            t1,
-                        } => {
-                            let deltas = state.advance(ops, &arrivals, t0, t1);
+                        Task::Advance { ops, runs, t0, t1 } => {
+                            let deltas = state.advance(ops, &runs, t0, t1);
                             let _ = reply.send(Reply::Advanced {
                                 deltas,
                                 last_event: state.last_event,
@@ -676,10 +874,19 @@ fn run_sharded(spec: &ClusterSpec, seed: u64, workers: usize) -> (ClusterMetrics
             });
         }
         drop(reply_tx);
+        let recv = || match reply_rx.recv().expect("worker alive") {
+            Reply::Panicked => panic!("a shard worker panicked"),
+            reply => reply,
+        };
 
-        let mut times: Vec<Time> = Vec::new();
-        let mut targets: Vec<u32> = Vec::new();
-        while generated < requests {
+        let mut times = Arc::new(draw_before(
+            &mut sampler,
+            &mut pending,
+            &mut drawn,
+            requests,
+            delta,
+        ));
+        while offered < requests {
             let t0 = epoch as f64 * delta;
             let t1 = (epoch + 1) as f64 * delta;
             // 1. Churn ticks inside this epoch, quantised to its start.
@@ -691,8 +898,9 @@ fn run_sharded(spec: &ClusterSpec, seed: u64, workers: usize) -> (ClusterMetrics
                         break;
                     }
                     // The serial engine's stop rule: no churn once the
-                    // request budget is fully offered.
-                    if generated >= requests {
+                    // request budget is fully offered (counted before
+                    // this epoch's arrivals).
+                    if offered >= requests {
                         next_tick = None;
                         break;
                     }
@@ -700,26 +908,25 @@ fn run_sharded(spec: &ClusterSpec, seed: u64, workers: usize) -> (ClusterMetrics
                         let pick = churn_rng.next_below(alive_slots.len() as u64) as usize;
                         let victim = alive_slots[pick];
                         alive_slots.remove(pick);
-                        let vspeed = view.words[victim as usize].speed;
-                        {
-                            let v = Arc::make_mut(&mut view);
-                            v.words[victim as usize].queue = 0;
-                        }
-                        ops_by_shard[owner[victim as usize] as usize]
-                            .push(ChurnOp::Deactivate(victim));
+                        let v = Arc::make_mut(&mut view);
+                        let vspeed = v.words[victim as usize].speed;
+                        let shard = v.owner[victim as usize];
+                        v.words[victim as usize].queue = 0;
+                        ops_by_shard[shard as usize].push(ChurnOp::Deactivate(victim));
                         leaves += 1;
-                        // A fresh server of the same speed joins.
-                        let g = owner.len();
-                        Arc::make_mut(&mut view).words.push(LoadWord {
+                        // A fresh server of the same speed joins the
+                        // victim's shard, keeping the capacity cut.
+                        let g = v.words.len() as u32;
+                        v.words.push(LoadWord {
                             queue: 0,
                             speed: vspeed,
                         });
+                        v.owner.push(shard);
                         ids.push(next_id);
                         next_id += 1;
-                        owner.push((g % s_count) as u32);
-                        alive_slots.push(g as u32);
-                        ops_by_shard[owner[g] as usize].push(ChurnOp::Activate {
-                            slot: g as u32,
+                        alive_slots.push(g);
+                        ops_by_shard[shard as usize].push(ChurnOp::Activate {
+                            slot: g,
                             speed: u64::from(vspeed),
                         });
                         joins += 1;
@@ -736,21 +943,11 @@ fn run_sharded(spec: &ClusterSpec, seed: u64, workers: usize) -> (ClusterMetrics
                 ));
                 churn_epochs += 1;
             }
-            // 2. This epoch's arrivals, chained on the serial stream.
-            times.clear();
-            while let Some(t) = pending {
-                if t >= t1 {
-                    break;
-                }
-                times.push(t);
-                generated += 1;
-                pending = (generated < requests).then(|| sampler.next_after(t));
-            }
-            // 3. Place round: chunk the arrivals across the workers.
-            targets.clear();
-            targets.resize(times.len(), 0);
+            // 2. Place round: chunk the epoch's arrivals across the
+            // workers, each of which bins its chunk by owning shard.
+            let mut runs_by_shard: Vec<Vec<Vec<(Time, u32)>>> =
+                (0..s_count).map(|_| Vec::with_capacity(s_count)).collect();
             if !times.is_empty() {
-                let first_global = generated - times.len() as u64;
                 let chunk = times.len().div_ceil(s_count);
                 let mut sent = 0usize;
                 for (w, tx) in task_txs.iter().enumerate() {
@@ -758,46 +955,56 @@ fn run_sharded(spec: &ClusterSpec, seed: u64, workers: usize) -> (ClusterMetrics
                     if start >= times.len() {
                         break;
                     }
-                    let count = chunk.min(times.len() - start);
                     tx.send(Task::Place {
                         view: Arc::clone(&view),
                         engine: Arc::clone(&engine),
-                        first_index: first_global + start as u64,
-                        count,
+                        times: Arc::clone(&times),
+                        first_index: offered,
+                        start,
+                        count: chunk.min(times.len() - start),
                     })
                     .expect("worker alive");
                     sent += 1;
                 }
+                let mut placed: Vec<Vec<Vec<(Time, u32)>>> = vec![Vec::new(); sent];
                 for _ in 0..sent {
-                    match reply_rx.recv().expect("worker alive") {
-                        Reply::Placed {
-                            worker,
-                            targets: tg,
-                        } => {
-                            targets[worker * chunk..worker * chunk + tg.len()].copy_from_slice(&tg);
-                        }
+                    match recv() {
+                        Reply::Placed { worker, bins } => placed[worker] = bins,
                         _ => unreachable!("place round replies with Placed"),
                     }
                 }
+                // Chunks are in arrival order, so each shard's runs are.
+                for bins in placed {
+                    for ((runs, count), bin) in
+                        runs_by_shard.iter_mut().zip(&mut shard_arrivals).zip(bins)
+                    {
+                        if !bin.is_empty() {
+                            *count += bin.len() as u64;
+                            runs.push(bin);
+                        }
+                    }
+                }
             }
-            // 4. Bin the placed arrivals to their owning shards.
-            let mut bins: Vec<Vec<(Time, u32)>> = vec![Vec::new(); s_count];
-            for (&t, &g) in times.iter().zip(&targets) {
-                bins[owner[g as usize] as usize].push((t, g));
-            }
-            // 5. Advance round: every shard steps to t1 and reports the
+            // 3. Advance round: every shard steps to t1 and reports the
             // queue deltas that feed the next epoch's frozen view.
-            for (tx, (ops, arrivals)) in task_txs.iter().zip(ops_by_shard.into_iter().zip(bins)) {
-                tx.send(Task::Advance {
-                    ops,
-                    arrivals,
-                    t0,
-                    t1,
-                })
-                .expect("worker alive");
+            for (tx, (ops, runs)) in task_txs
+                .iter()
+                .zip(ops_by_shard.into_iter().zip(runs_by_shard))
+            {
+                tx.send(Task::Advance { ops, runs, t0, t1 })
+                    .expect("worker alive");
             }
+            // 4. Meanwhile, the next epoch's arrivals: they chain on the
+            // arrival stream alone, so drawing them now changes nothing.
+            let next = draw_before(
+                &mut sampler,
+                &mut pending,
+                &mut drawn,
+                requests,
+                (epoch + 2) as f64 * delta,
+            );
             for _ in 0..s_count {
-                match reply_rx.recv().expect("worker alive") {
+                match recv() {
                     Reply::Advanced {
                         deltas,
                         last_event: le,
@@ -811,15 +1018,18 @@ fn run_sharded(spec: &ClusterSpec, seed: u64, workers: usize) -> (ClusterMetrics
                     _ => unreachable!("advance round replies with Advanced"),
                 }
             }
+            offered += times.len() as u64;
+            times = Arc::new(next);
             epoch += 1;
             epochs_run += 1;
         }
+        debug_assert_eq!(shard_arrivals.iter().sum::<u64>(), offered);
         // Budget offered: drain every shard, then collect the reports.
         for tx in &task_txs {
             tx.send(Task::Drain).expect("worker alive");
         }
         for _ in 0..s_count {
-            match reply_rx.recv().expect("worker alive") {
+            match recv() {
                 Reply::Drained { last_event: le } => last_event = last_event.max(le),
                 _ => unreachable!("drain round replies with Drained"),
             }
@@ -828,7 +1038,7 @@ fn run_sharded(spec: &ClusterSpec, seed: u64, workers: usize) -> (ClusterMetrics
             tx.send(Task::Finish).expect("worker alive");
         }
         for _ in 0..s_count {
-            match reply_rx.recv().expect("worker alive") {
+            match recv() {
                 Reply::Report { shard, report } => ordered[shard] = Some(*report),
                 _ => unreachable!("finish round replies with Report"),
             }
@@ -858,27 +1068,27 @@ fn run_sharded(spec: &ClusterSpec, seed: u64, workers: usize) -> (ClusterMetrics
         per_speed.push(speed);
         dropped += drops;
     }
-    // Counting sort (stable) of the latencies into slot-major order:
-    // each slot's latencies stay in completion order, and the overall
-    // order no longer remembers how the fleet was sharded — so the
-    // mean's f64 summation order is canonical.
-    let mut offsets = vec![0usize; total_slots + 1];
-    for &(g, _) in &report.latencies {
-        offsets[g as usize + 1] += 1;
-    }
-    for i in 0..total_slots {
-        offsets[i + 1] += offsets[i];
-    }
-    let mut latencies = vec![0.0f64; report.latencies.len()];
-    for &(g, l) in &report.latencies {
-        latencies[offsets[g as usize]] = l;
-        offsets[g as usize] += 1;
-    }
+    // Slot-major latencies: the shards' base parts concatenated in
+    // shard order, then the churn-added slots' (stable-sorted, so each
+    // slot's stay in completion order). The order no longer remembers
+    // how the fleet was sharded, so the mean's f64 summation order is
+    // canonical.
+    let mut latencies = report.base_latencies;
+    report.churn_latencies.sort_by_key(|&(g, _)| g);
+    latencies.extend(report.churn_latencies.iter().map(|&(_, l)| l));
 
-    snap.add_counter("sim.arrived", generated);
+    snap.add_counter("sim.arrived", offered);
     snap.add_counter("sharded.epochs", epochs_run);
     snap.add_counter("sharded.churn_epochs", churn_epochs);
     snap.add_counter("sharded.shards", s_count as u64);
+    snap.add_counter(
+        "sharded.shard_arrivals_max",
+        shard_arrivals.iter().copied().max().unwrap_or(0),
+    );
+    snap.add_counter(
+        "sharded.shard_arrivals_min",
+        shard_arrivals.iter().copied().min().unwrap_or(0),
+    );
     let (accepted, rejected, squeeze) = sampler.thinning_counts();
     snap.add_counter("arrivals.thinning_accepted", accepted);
     snap.add_counter("arrivals.thinning_rejected", rejected);
@@ -889,7 +1099,7 @@ fn run_sharded(spec: &ClusterSpec, seed: u64, workers: usize) -> (ClusterMetrics
         per_max_queue,
         per_speed,
         latencies,
-        generated,
+        offered,
         dropped,
         report.orphaned,
         joins,
@@ -1032,6 +1242,66 @@ mod tests {
     #[should_panic(expected = "server speed 4294967296 exceeds")]
     fn shard_slot_table_rejects_speeds_beyond_u32() {
         let _ = ShardState::new(0, 0, 2, &[1, 1 << 32], None, 0);
+    }
+
+    #[test]
+    fn two_class_splits_at_the_capacity_median() {
+        // 32 slow (speed 1) then 32 fast (speed 8): 288 units in all, so
+        // half is the 32 slow slots plus 14 fast ones.
+        let speeds = CapacityVector::two_class(32, 1, 32, 8);
+        assert_eq!(capacity_bounds(speeds.as_slice(), 2), vec![0, 46, 64]);
+        assert_eq!(capacity_bounds(speeds.as_slice(), 1), vec![0, 64]);
+    }
+
+    #[test]
+    fn two_class_arrivals_split_evenly_at_two_workers() {
+        let spec = ClusterSpec {
+            speeds: CapacityVector::two_class(32, 1, 32, 8),
+            ..base_spec()
+        };
+        let mut sim = ShardedClusterSim::new(spec, 5, 2);
+        sim.run();
+        let snap = sim.telemetry_snapshot();
+        let (max, min) = (
+            snap.counter("sharded.shard_arrivals_max").unwrap(),
+            snap.counter("sharded.shard_arrivals_min").unwrap(),
+        );
+        assert_eq!(max + min, 20_000);
+        // Equal slot counts would give the fast half 8/9 of the
+        // arrivals: an imbalance of ~1.78.
+        let imbalance = shard_imbalance(&snap).unwrap();
+        assert!((1.0..1.15).contains(&imbalance), "imbalance {imbalance}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The cut is contiguous, covers every slot, leaves no shard
+        /// empty, and gives each shard within one max-speed of its fair
+        /// share of the capacity.
+        #[test]
+        fn capacity_bounds_partition_the_fleet_fairly(
+            speeds in proptest::collection::vec(1u64..=1_000, 1..64),
+            workers in 1usize..=8,
+        ) {
+            let shards = workers.min(speeds.len());
+            let bounds = capacity_bounds(&speeds, shards);
+            proptest::prop_assert_eq!(bounds.len(), shards + 1);
+            proptest::prop_assert_eq!(bounds[0], 0);
+            proptest::prop_assert_eq!(bounds[shards] as usize, speeds.len());
+            let total: u64 = speeds.iter().sum();
+            let max = *speeds.iter().max().unwrap();
+            for w in bounds.windows(2) {
+                proptest::prop_assert!(w[0] < w[1], "empty shard in {:?}", bounds);
+                let sum: u64 = speeds[w[0] as usize..w[1] as usize].iter().sum();
+                // |sum - total/shards| <= max, scaled by `shards`.
+                let dev = (sum * shards as u64).abs_diff(total);
+                proptest::prop_assert!(
+                    dev <= max * shards as u64,
+                    "shard {:?} of {:?} holds {} of {}", w, bounds, sum, total
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! Worker-count invariance of the space-sharded engine, end to end:
 //!
 //! 1. On **every registry scenario** (seed 12345, smoke budget) the
-//!    sharded engine renders byte-identical artifacts at 1 and 4
+//!    sharded engine renders byte-identical artifacts at 1, 2, 3 and 4
 //!    workers — the CLI-level acceptance criterion, one process down.
+//!    Each worker count cuts the fleet at different capacity quantiles.
 //! 2. A property sweep hammers the epoch-boundary merge: churn ticks
 //!    aligned *exactly* on epoch edges (where cross-shard joins are
-//!    exchanged) and uniform-speed fleets (maximal cross-multiplication
-//!    ties in Algorithm 1), checked against the single-shard run as the
-//!    oracle — identical metrics and identical rendered tables.
+//!    exchanged), uniform-speed fleets (maximal cross-multiplication
+//!    ties in Algorithm 1) and slow-first two-class fleets (whose
+//!    capacity cut falls deep inside the fast half), checked against the
+//!    single-shard run as the oracle — identical metrics and identical
+//!    rendered tables.
 
 use bnb_cluster::arrivals::ArrivalProcess;
 use bnb_cluster::sharded::EPOCH_ARRIVALS;
@@ -19,28 +22,29 @@ use proptest::prelude::*;
 fn every_registry_scenario_is_worker_count_invariant() {
     for sc in registry() {
         let smoke = sc.default_requests / SMOKE_DIVISOR;
-        let one = SimBuilder::scenario(sc, smoke)
-            .seed(12_345)
-            .workers(1)
-            .build()
-            .run();
-        let four = SimBuilder::scenario(sc, smoke)
-            .seed(12_345)
-            .workers(4)
-            .build()
-            .run();
-        assert_eq!(one, four, "scenario {}: W=1 vs W=4 metrics", sc.id);
-        assert_eq!(
-            one.render_table(),
-            four.render_table(),
-            "scenario {}: rendered artifact",
-            sc.id
-        );
+        let run = |workers| {
+            SimBuilder::scenario(sc, smoke)
+                .seed(12_345)
+                .workers(workers)
+                .build()
+                .run()
+        };
+        let one = run(1);
+        for workers in 2..=4 {
+            let many = run(workers);
+            assert_eq!(one, many, "scenario {}: W=1 vs W={workers} metrics", sc.id);
+            assert_eq!(
+                one.render_table(),
+                many.render_table(),
+                "scenario {}: W={workers} rendered artifact",
+                sc.id
+            );
+        }
     }
 }
 
 /// A fleet whose speeds force tie storms (uniform) or exercise the
-/// heterogeneous cross-multiplication path (two-class).
+/// heterogeneous cross-multiplication path (mixed, two-class).
 fn speeds_strategy() -> impl Strategy<Value = Vec<u64>> {
     prop_oneof![
         // Tie storm: every server identical, every comparison a tie.
@@ -48,6 +52,14 @@ fn speeds_strategy() -> impl Strategy<Value = Vec<u64>> {
         (2usize..10).prop_map(|n| vec![4; n]),
         // Heterogeneous mix.
         proptest::collection::vec(1u64..=8, 2..10),
+        // Slow half first, as in the registry's two-class fleets: the
+        // capacity cut lands inside the fast half, and churn joiners
+        // inherit their victim's shard.
+        (1usize..8, 1usize..8, 2u64..=8).prop_map(|(slow, fast, speed)| [
+            vec![1; slow],
+            vec![speed; fast]
+        ]
+        .concat()),
     ]
 }
 

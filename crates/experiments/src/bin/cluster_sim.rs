@@ -17,6 +17,7 @@
 //! `bnb-stats`' mergeable accumulators — output is equally
 //! deterministic, regardless of thread count.
 
+use bnb_cluster::sharded::shard_imbalance;
 use bnb_cluster::{find_scenario, registry, Scenario, SimBuilder, SMOKE_DIVISOR};
 use bnb_experiments::sweep_scenario_with_options;
 use bnb_stats::svg::render_svg;
@@ -368,7 +369,10 @@ fn main() -> ExitCode {
         // Wall-clock is the only non-deterministic line; keep it clearly
         // separated from the metrics block above.
         let engine = match args.workers {
-            Some(w) => format!("sharded x{w}"),
+            Some(w) => match shard_imbalance(&sim.telemetry_snapshot()) {
+                Some(imbalance) => format!("sharded x{w}, imbalance {imbalance:.3}"),
+                None => format!("sharded x{w}"),
+            },
             None => "serial".into(),
         };
         println!(

@@ -124,9 +124,11 @@ impl SimBuilder {
 
     /// Runs on the space-sharded parallel engine with `workers` worker
     /// threads (at most one per server). Each worker owns one contiguous
-    /// shard of the fleet, cut so the shards hold near-equal capacity
-    /// (speed sum) rather than equal slot counts; the cut is derived from
-    /// the speeds alone. Output is byte-identical under any worker count.
+    /// shard of the fleet, cut so the shards expect near-equal traffic:
+    /// near-equal speed sums under d-choice and rendezvous, which route
+    /// by speed, and equal slot counts under the speed-blind ring
+    /// policies. The cut is derived from the spec alone. Output is
+    /// byte-identical under any worker count.
     ///
     /// # Panics
     /// [`SimBuilder::build`] panics if `workers` is zero.

@@ -33,8 +33,9 @@
 //!   churn rebalanced incrementally through
 //!   [`bnb_hashring::churn::MembershipRing`],
 //! * [`sharded`] — the space-sharded parallel engine: the fleet cut
-//!   into contiguous slot ranges of near-equal capacity (speed sum)
-//!   across worker threads, placement routed against a frozen
+//!   into contiguous slot ranges of near-equal expected traffic (speed
+//!   sum under the speed-weighted policies, slot count under the ring
+//!   ones) across worker threads, placement routed against a frozen
 //!   per-epoch view of the load words, each shard's slots kept in the
 //!   fleet's record type, cross-shard joins exchanged at epoch
 //!   boundaries, per-shard reports merged in shard order —

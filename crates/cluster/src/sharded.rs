@@ -5,16 +5,23 @@
 //! through [`bnb_stats::Mergeable`]/[`bnb_stats::merge_ordered`] so the
 //! output is **byte-identical under any worker count**.
 //!
-//! ## Shards are cut by capacity
+//! ## Shards are cut by expected traffic
 //!
-//! Placement sends each server traffic in proportion to its speed, so a
-//! shard's work is its slots' speed sum, not their number. The base slot
-//! range is cut into `W` contiguous shards at the cumulative-speed
-//! quantiles (`capacity_bounds`): cut `s` is the prefix whose speed sum
-//! is closest to `s/W` of the total, and every shard keeps at least one
-//! slot. A churn joiner takes its victim's shard (it has the victim's
-//! speed), so the balance holds under churn. The cut is derived from the
-//! speeds alone; it is not an option.
+//! A shard's work is the arrivals placement sends its slots, so the base
+//! slot range is cut into `W` contiguous shards of near-equal *routing
+//! weight* (`balanced_bounds`): cut `s` is the prefix whose weight sum is
+//! closest to `s/W` of the total, and every shard keeps at least one
+//! slot. The weight is what the policy sends a server, up to a common
+//! factor (`routing_weights`): its speed under `DChoice` and
+//! `Rendezvous`, which sample or score servers by speed, so the cuts sit
+//! at the cumulative-speed quantiles; and 1 under `ConsistentHash` and
+//! `HashThenProbe`, whose rings hash server ids with the same vnode
+//! count for every server, so the cuts fall at equal slot counts. (The
+//! load-aware probe of `HashThenProbe` does shift some traffic towards
+//! fast servers; the weight follows its speed-blind candidates.) A churn
+//! joiner takes its victim's shard (it has the victim's speed), so the
+//! balance holds under churn. The cut is derived from the spec alone; it
+//! is not an option.
 //!
 //! ## The epoch machine
 //!
@@ -100,7 +107,7 @@ use bnb_distributions::{derive_seed, Xoshiro256PlusPlus};
 use bnb_hashring::hash::mix64;
 use bnb_queueing::events::Time;
 use bnb_queueing::{Admission, LazyBoard};
-use bnb_router::{DenseView, LoadWord, Member, Membership, PlacementEngine};
+use bnb_router::{DenseView, LoadWord, Member, Membership, PlacementEngine, PlacementSpec};
 use bnb_stats::{merge_ordered, Mergeable};
 use bnb_telemetry::MetricsSnapshot;
 use std::collections::HashMap;
@@ -149,25 +156,39 @@ struct EpochView {
     owner: Vec<u32>,
 }
 
-/// Cuts the base slot range `[0, speeds.len())` into `shards`
-/// contiguous ranges of near-equal capacity; returns the `shards + 1`
+/// What placement sends each base slot, up to a common factor: its
+/// speed for the policies that sample (`DChoice`) or score
+/// (`Rendezvous`) servers by speed, 1 for the ring policies, whose
+/// candidates are hashed from server ids with equal vnodes per server.
+fn routing_weights(spec: &ClusterSpec) -> Vec<u64> {
+    let speeds = spec.speeds.as_slice();
+    match spec.placement {
+        PlacementSpec::DChoice { .. } | PlacementSpec::Rendezvous => speeds.to_vec(),
+        PlacementSpec::ConsistentHash { .. } | PlacementSpec::HashThenProbe { .. } => {
+            vec![1; speeds.len()]
+        }
+    }
+}
+
+/// Cuts the base slot range `[0, weights.len())` into `shards`
+/// contiguous ranges of near-equal weight; returns the `shards + 1`
 /// bounds, shard `s` owning `[bounds[s], bounds[s + 1])`. Cut `s` is the
-/// prefix whose speed sum is closest to `s / shards` of the total
+/// prefix whose weight sum is closest to `s / shards` of the total
 /// (ties to the shorter prefix), clamped so that every shard keeps at
 /// least one slot. The arithmetic is exact (`u128`), so the cut is a
-/// pure function of the speeds.
+/// pure function of the weights.
 ///
 /// # Panics
-/// Panics unless `1 <= shards <= speeds.len()`.
-fn capacity_bounds(speeds: &[u64], shards: usize) -> Vec<u32> {
-    let n = speeds.len();
+/// Panics unless `1 <= shards <= weights.len()`.
+fn balanced_bounds(weights: &[u64], shards: usize) -> Vec<u32> {
+    let n = weights.len();
     assert!(
         (1..=n).contains(&shards),
         "need 1..={n} shards, got {shards}"
     );
     let prefix: Vec<u128> = std::iter::once(0)
-        .chain(speeds.iter().scan(0u128, |acc, &s| {
-            *acc += u128::from(s);
+        .chain(weights.iter().scan(0u128, |acc, &w| {
+            *acc += u128::from(w);
             Some(*acc)
         }))
         .collect();
@@ -192,8 +213,8 @@ fn capacity_bounds(speeds: &[u64], shards: usize) -> Vec<u32> {
 /// A task sent to a worker thread.
 enum Task {
     /// Route the epoch's arrivals `times[start..start + count]` against
-    /// the frozen view (`times[0]` is global arrival `first_index`) and
-    /// bin them by owning shard; reply with one bin per shard.
+    /// the frozen view (`times[start]` is global arrival `first_index`)
+    /// and bin them by owning shard; reply with one bin per shard.
     Place {
         view: Arc<EpochView>,
         engine: Arc<PlacementEngine>,
@@ -676,7 +697,7 @@ pub struct ShardedClusterSim {
 impl ShardedClusterSim {
     /// Builds the sharded simulator with the given worker count
     /// (clamped to the fleet size; each worker owns one contiguous
-    /// shard of slots, cut by capacity — see `capacity_bounds`).
+    /// shard of slots, cut by expected traffic — see the module docs).
     ///
     /// # Panics
     /// Panics if `workers` is zero or the spec is invalid (same
@@ -753,11 +774,11 @@ fn run_sharded(spec: &ClusterSpec, seed: u64, workers: usize) -> (ClusterMetrics
     let s_count = workers.min(n0).max(1);
     let speeds0 = spec.speeds.as_slice();
     let requests = spec.requests;
-    let bounds = capacity_bounds(speeds0, s_count);
+    let bounds = balanced_bounds(&routing_weights(spec), s_count);
 
     // Coordinator-side load words (the authoritative epoch-boundary
     // state placement freezes against) and the slot-to-shard map: base
-    // slots by the capacity cut the shards are built over, churn joiners
+    // slots by the traffic cut the shards are built over, churn joiners
     // by their victim's shard.
     let mut view = Arc::new(EpochView {
         words: speeds0.iter().map(|&s| LoadWord::new(0, s)).collect(),
@@ -837,7 +858,7 @@ fn run_sharded(spec: &ClusterSpec, seed: u64, workers: usize) -> (ClusterMetrics
                                 &view,
                                 place_seed,
                                 key_seed,
-                                first_index + start as u64,
+                                first_index,
                                 &times[start..start + count],
                                 s_count,
                             );
@@ -915,7 +936,7 @@ fn run_sharded(spec: &ClusterSpec, seed: u64, workers: usize) -> (ClusterMetrics
                         ops_by_shard[shard as usize].push(ChurnOp::Deactivate(victim));
                         leaves += 1;
                         // A fresh server of the same speed joins the
-                        // victim's shard, keeping the capacity cut.
+                        // victim's shard, keeping the cut balanced.
                         let g = v.words.len() as u32;
                         v.words.push(LoadWord {
                             queue: 0,
@@ -959,7 +980,7 @@ fn run_sharded(spec: &ClusterSpec, seed: u64, workers: usize) -> (ClusterMetrics
                         view: Arc::clone(&view),
                         engine: Arc::clone(&engine),
                         times: Arc::clone(&times),
-                        first_index: offered,
+                        first_index: offered + start as u64,
                         start,
                         count: chunk.min(times.len() - start),
                     })
@@ -1113,7 +1134,6 @@ fn run_sharded(spec: &ClusterSpec, seed: u64, workers: usize) -> (ClusterMetrics
 mod tests {
     use super::*;
     use crate::arrivals::ArrivalProcess;
-    use crate::placement::PlacementSpec;
     use crate::sim::ChurnConfig;
     use bnb_core::CapacityVector;
 
@@ -1244,48 +1264,78 @@ mod tests {
         let _ = ShardState::new(0, 0, 2, &[1, 1 << 32], None, 0);
     }
 
+    /// The two-class fleet of the `two-class` and `successor`
+    /// scenarios (32 slow, then 32 eight-times-faster servers) under
+    /// the given policy.
+    fn two_class_spec(placement: PlacementSpec) -> ClusterSpec {
+        ClusterSpec {
+            speeds: CapacityVector::two_class(32, 1, 32, 8),
+            placement,
+            ..base_spec()
+        }
+    }
+
     #[test]
     fn two_class_splits_at_the_capacity_median() {
         // 32 slow (speed 1) then 32 fast (speed 8): 288 units in all, so
         // half is the 32 slow slots plus 14 fast ones.
-        let speeds = CapacityVector::two_class(32, 1, 32, 8);
-        assert_eq!(capacity_bounds(speeds.as_slice(), 2), vec![0, 46, 64]);
-        assert_eq!(capacity_bounds(speeds.as_slice(), 1), vec![0, 64]);
+        let weights = routing_weights(&two_class_spec(PlacementSpec::DChoice { d: 2 }));
+        assert_eq!(balanced_bounds(&weights, 2), vec![0, 46, 64]);
+        assert_eq!(balanced_bounds(&weights, 1), vec![0, 64]);
+    }
+
+    #[test]
+    fn ring_policies_split_at_the_slot_median() {
+        for placement in [
+            PlacementSpec::ConsistentHash { vnodes: 16 },
+            PlacementSpec::HashThenProbe { d: 2, vnodes: 8 },
+        ] {
+            let weights = routing_weights(&two_class_spec(placement));
+            assert_eq!(balanced_bounds(&weights, 2), vec![0, 32, 64]);
+        }
     }
 
     #[test]
     fn two_class_arrivals_split_evenly_at_two_workers() {
-        let spec = ClusterSpec {
-            speeds: CapacityVector::two_class(32, 1, 32, 8),
-            ..base_spec()
-        };
-        let mut sim = ShardedClusterSim::new(spec, 5, 2);
-        sim.run();
-        let snap = sim.telemetry_snapshot();
-        let (max, min) = (
-            snap.counter("sharded.shard_arrivals_max").unwrap(),
-            snap.counter("sharded.shard_arrivals_min").unwrap(),
-        );
-        assert_eq!(max + min, 20_000);
-        // Equal slot counts would give the fast half 8/9 of the
-        // arrivals: an imbalance of ~1.78.
-        let imbalance = shard_imbalance(&snap).unwrap();
-        assert!((1.0..1.15).contains(&imbalance), "imbalance {imbalance}");
+        // Cut by slot count, d-choice would give the fast half 8/9 of
+        // the arrivals (an imbalance of ~1.78); cut by speed, the
+        // speed-blind ring would give the 46-slot shard ~46/64 of them
+        // (~1.44).
+        for placement in [
+            PlacementSpec::DChoice { d: 2 },
+            PlacementSpec::Rendezvous,
+            PlacementSpec::ConsistentHash { vnodes: 16 },
+        ] {
+            let mut sim = ShardedClusterSim::new(two_class_spec(placement), 5, 2);
+            sim.run();
+            let snap = sim.telemetry_snapshot();
+            let (max, min) = (
+                snap.counter("sharded.shard_arrivals_max").unwrap(),
+                snap.counter("sharded.shard_arrivals_min").unwrap(),
+            );
+            assert_eq!(max + min, 20_000);
+            let imbalance = shard_imbalance(&snap).unwrap();
+            assert!(
+                (1.0..1.15).contains(&imbalance),
+                "{}: imbalance {imbalance}",
+                placement.name()
+            );
+        }
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
         /// The cut is contiguous, covers every slot, leaves no shard
-        /// empty, and gives each shard within one max-speed of its fair
-        /// share of the capacity.
+        /// empty, and gives each shard within one max-weight of its fair
+        /// share of the total weight.
         #[test]
-        fn capacity_bounds_partition_the_fleet_fairly(
+        fn balanced_bounds_partition_the_fleet_fairly(
             speeds in proptest::collection::vec(1u64..=1_000, 1..64),
             workers in 1usize..=8,
         ) {
             let shards = workers.min(speeds.len());
-            let bounds = capacity_bounds(&speeds, shards);
+            let bounds = balanced_bounds(&speeds, shards);
             proptest::prop_assert_eq!(bounds.len(), shards + 1);
             proptest::prop_assert_eq!(bounds[0], 0);
             proptest::prop_assert_eq!(bounds[shards] as usize, speeds.len());

@@ -3,7 +3,7 @@
 //! 1. On **every registry scenario** (seed 12345, smoke budget) the
 //!    sharded engine renders byte-identical artifacts at 1, 2, 3 and 4
 //!    workers — the CLI-level acceptance criterion, one process down.
-//!    Each worker count cuts the fleet at different capacity quantiles.
+//!    Each worker count cuts the fleet at different points.
 //! 2. A property sweep hammers the epoch-boundary merge: churn ticks
 //!    aligned *exactly* on epoch edges (where cross-shard joins are
 //!    exchanged), uniform-speed fleets (maximal cross-multiplication

@@ -4,8 +4,7 @@
 //! for the slot-keyed lazy board, the calendar wheel and the binary
 //! heap, so one report ranks them and shows how each scales with the
 //! population (the decision record behind the fused loop's departure
-//! path). The eager tournament board runs at n = 64 only, for
-//! reference. `hotprof`'s `hold(64)` and `hold(131072)` cells give the
+//! path). `hotprof`'s `hold(64)` and `hold(131072)` cells give the
 //! same numbers as flat ns/op.
 //!
 //! Each scheduler is filled once and held at its population across
@@ -14,7 +13,7 @@
 
 use bnb_distributions::{ExponentialBlock, Xoshiro256PlusPlus};
 use bnb_queueing::events::EventScheduler;
-use bnb_queueing::{CalendarQueue, EventQueue, LazyBoard, SlotBoard};
+use bnb_queueing::{CalendarQueue, EventQueue, LazyBoard};
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Throughput};
 use std::hint::black_box;
 
@@ -65,20 +64,6 @@ fn hold_pattern(c: &mut criterion::Criterion) {
         bench_hold(&mut group, n, "calendar", CalendarQueue::<u32>::new());
         bench_hold(&mut group, n, "heap", EventQueue::<u32>::new());
     }
-    let mut exp = exp_block();
-    let mut q = SlotBoard::new(64);
-    for i in 0..64 {
-        q.schedule(i, exp.next());
-    }
-    group.bench_function(BenchmarkId::new("hold64", "board"), |b| {
-        b.iter(|| {
-            for _ in 0..PAIRS {
-                let (t, s) = q.pop().unwrap();
-                q.schedule(s, t + exp.next());
-            }
-            black_box(q.len())
-        });
-    });
     group.finish();
 }
 

@@ -164,9 +164,9 @@ const DIURNAL_NOTE: &str = "diurnal trails the stationary cells by construction:
 /// d-choice cells hold a multiple of their PR-3 baselines since the
 /// fused-hot-loop work landed — raised to **0.6×** when the slot-keyed
 /// lazy board took them past 1.8× (losing a third of a 2×-class win is
-/// a structural regression, not noise) — while the generic-loop and
-/// non-stationary cells keep the caller's ratio. The effective floor
-/// for a cell is `max(--floor, ratchet)`.
+/// a structural regression, not noise) — while the `churny_p2p` and
+/// `diurnal` cells keep the caller's ratio. The effective floor for a
+/// cell is `max(--floor, ratchet)`.
 const CELL_FLOOR: &[(&str, f64)] = &[
     ("uniform", 0.6),
     ("two_class", 0.6),
@@ -249,9 +249,8 @@ struct TelemetryBlock {
     on_req_per_sec: f64,
     /// Scheduler-internals counters from the telemetry-on run — these
     /// are deterministic in `(scenario, seed)`, unlike the timings.
-    /// The fused loop drives the slot-keyed `LazyBoard` since the
-    /// lazy-deletion PR, so the fingerprint is its `lazy.*` counter
-    /// family (the calendar counters read zero there).
+    /// The serial drive loop schedules departures on the slot-keyed
+    /// `LazyBoard`, so the fingerprint is its `lazy.*` counter family.
     lazy_inserts: u64,
     lazy_stale_pops: u64,
     lazy_overwrites: u64,

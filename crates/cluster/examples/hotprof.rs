@@ -7,10 +7,10 @@
 //! Times each hot-path layer in isolation (scheduler hold pattern at
 //! 64 pending departures, and the lazy board's at 131072, fleet
 //! join/depart, d = 2 placement, arrival generation, exponential
-//! block, ring successor, metrics assembly) next to the end-to-end
-//! scenarios on the fused, generic and heap-oracle drive loops. Each
-//! figure is the **best of five** runs — on shared hosts whose speed
-//! swings with neighbour load, the minimum is the stable estimate of
+//! block, ring successor, metrics assembly) next to end-to-end
+//! scenarios on the serial engine's fused drive loop. Each figure is
+//! the **best of five** runs — on shared hosts whose speed swings
+//! with neighbour load, the minimum is the stable estimate of
 //! intrinsic cost (same convention as `bench-snapshot`). This is the
 //! harness behind the per-component numbers quoted in the README's
 //! performance section; `perf` is rarely available in the containers
@@ -23,9 +23,8 @@
 //! printed for the log but not gated — shared runners are far too
 //! noisy to assert on nanoseconds.
 
-use bnb_cluster::{find_scenario, Scheduler, SimBuilder};
+use bnb_cluster::{find_scenario, SimBuilder};
 use bnb_distributions::{AliasTable, ExponentialBlock, WeightedSampler, Xoshiro256PlusPlus};
-use bnb_queueing::board::SlotBoard;
 use bnb_queueing::calendar::CalendarQueue;
 use bnb_queueing::events::{EventQueue, EventScheduler};
 use bnb_queueing::lazy::LazyBoard;
@@ -61,31 +60,13 @@ fn time<F: FnMut() -> u64>(label: &str, mut f: F) {
 fn main() {
     // Work per cell shrinks by this factor in smoke mode.
     let scale: u64 = if smoke() { 20 } else { 1 };
-    // End-to-end scenarios on both schedulers, fused vs generic loop.
+    // End-to-end scenarios: d = 2 on a uniform and a two-class fleet,
+    // and hash-then-probe placement under churn.
     for id in ["uniform", "two-class", "churny-p2p"] {
         let sc = find_scenario(id).unwrap();
         time(&format!("{id} fused"), || {
             let m = SimBuilder::scenario(sc, 200_000 / scale)
                 .seed(42)
-                .build()
-                .run();
-            m.requests
-        });
-        time(&format!("{id} generic"), || {
-            // The generic loop is exactly what `run_generic` pins; only
-            // this harness and the differential oracles still want it.
-            #[allow(deprecated)]
-            let m = {
-                use bnb_cluster::ClusterSim;
-                let spec = (sc.build)(42, 200_000 / scale);
-                ClusterSim::new(spec, 42).run_generic()
-            };
-            m.requests
-        });
-        time(&format!("{id} heap"), || {
-            let m = SimBuilder::scenario(sc, 200_000 / scale)
-                .seed(42)
-                .scheduler(Scheduler::Heap)
                 .build()
                 .run();
             m.requests
@@ -138,18 +119,6 @@ fn main() {
             pairs
         });
     }
-    time("board hold(64) sched+pop", || {
-        let mut q = SlotBoard::new(64);
-        for i in 0..64u32 {
-            q.schedule(i, exp.next());
-        }
-        let n = 2_000_000 / scale;
-        for _ in 0..n {
-            let (t, s) = q.pop().unwrap();
-            q.schedule(s, t + exp.next());
-        }
-        n
-    });
     time("heap hold(64) sched+pop", || {
         let mut q: EventQueue<u32> = EventQueue::new();
         for i in 0..64u32 {

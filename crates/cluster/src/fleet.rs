@@ -406,8 +406,9 @@ impl Fleet {
 
     /// `1 / speed` of slot `i`, from its record — how the
     /// departure-scheduling path scales Exp(1) work into service time
-    /// (bitwise-stable across the generic and fused loops, which is why
-    /// the reciprocal is precomputed once rather than divided per event).
+    /// (bitwise-stable across the serial, sharded and reference loops,
+    /// which is why the reciprocal is precomputed once rather than
+    /// divided per event).
     ///
     /// # Panics
     /// Panics if `i` is out of range.
@@ -519,6 +520,17 @@ impl LoadView for Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fleet_load_view_mirrors_joins_and_departs() {
+        let mut fleet = Fleet::new(&[2, 4], Some(8));
+        fleet.try_join(1, 0.5);
+        fleet.try_join(1, 0.6);
+        assert_eq!(fleet.load(1), (2, 4));
+        assert_eq!(fleet.queue_len(0), 0);
+        let _ = fleet.depart(1, 1.0);
+        assert_eq!(fleet.load(1), (1, 4));
+    }
 
     #[test]
     fn join_depart_latency_roundtrip() {

@@ -20,17 +20,17 @@
 //!   plus an inline admission ring) and one packed `(queue, speed)`
 //!   load word per slot for the placement hot path — the slot layout
 //!   both engines share,
-//! * [`placement`] — pluggable routing, now served by the standalone
-//!   [`bnb_router`] data plane: the paper's d-choice Algorithm 1 over
-//!   non-uniform capacities (block pre-sampled candidates),
-//!   consistent-hash successor placement, weighted rendezvous, and the
-//!   Byers-style hash-then-probe hybrid, driven as a
-//!   [`bnb_router::PlacementEngine`] over the fleet's dense load mirror,
-//! * [`sim`] — the deterministic event loop, generic over
-//!   `bnb-queueing`'s [`EventScheduler`](bnb_queueing::EventScheduler)
-//!   (the [`CalendarQueue`](bnb_queueing::CalendarQueue) timing wheel by
-//!   default, the binary heap as differential oracle), with periodic
-//!   churn rebalanced incrementally through
+//! * placement — served by the standalone [`bnb_router`] data plane
+//!   ([`PlacementEngine`], [`PlacementSpec`], re-exported here): the
+//!   paper's d-choice Algorithm 1 over non-uniform capacities (block
+//!   pre-sampled candidates), consistent-hash successor placement,
+//!   weighted rendezvous, and the Byers-style hash-then-probe hybrid,
+//!   driven over the fleet's dense load mirror,
+//! * [`sim`] — the serial engine's one deterministic drive loop:
+//!   arrivals, departures on `bnb-queueing`'s slot-keyed
+//!   [`LazyBoard`](bnb_queueing::LazyBoard) and periodic churn ticks
+//!   merged in time order, monomorphised over the placement policy and
+//!   churn, with churn rebalanced incrementally through
 //!   [`bnb_hashring::churn::MembershipRing`],
 //! * [`sharded`] — the space-sharded parallel engine: the fleet cut
 //!   into contiguous slot ranges of near-equal expected traffic (speed
@@ -41,8 +41,8 @@
 //!   boundaries, per-shard reports merged in shard order —
 //!   byte-identical output under any worker count,
 //! * [`builder`] — the unified [`SimBuilder`] construction surface
-//!   over all of the above (scenario or spec, seed, scheduler,
-//!   telemetry, worker count),
+//!   over both engines (scenario or spec, seed, telemetry, worker
+//!   count),
 //! * [`metrics`] — latency quantiles (O(n) selection, no sort),
 //!   per-server peaks and drop rates, rendered through `bnb-stats`,
 //! * [`scenario`] — the registry of named workloads behind the
@@ -51,14 +51,14 @@
 //!   [`bnb_stats::Mergeable`]) behind the sharded `cluster-sim sweep`
 //!   d-sweep runner,
 //! * [`telemetry`] — the per-component [`bnb_telemetry`] span set
-//!   threaded through both drive loops (off by default, one predicted
-//!   branch per component when off) and the end-of-run harvest of
-//!   scheduler-internals and thinning counters.
+//!   threaded through the serial drive loop (off by default, one
+//!   predicted branch per component when off) and the end-of-run
+//!   harvest of departure-board and thinning counters.
 //!
 //! Every run is a pure function of `(scenario, seed)`: randomness flows
 //! through dedicated derived streams (arrivals, service, placement,
 //! tie-breaks, churn), so the same seed replays the identical trace,
-//! byte for byte, on any scheduler and any thread count.
+//! byte for byte, on any thread count.
 //!
 //! ```
 //! use bnb_cluster::{find_scenario, SimBuilder};
@@ -75,7 +75,6 @@ pub mod arrivals;
 pub mod builder;
 pub mod fleet;
 pub mod metrics;
-pub mod placement;
 pub mod scenario;
 pub mod sharded;
 pub mod sim;
@@ -83,14 +82,12 @@ pub mod sweep;
 pub mod telemetry;
 
 pub use arrivals::{ArrivalProcess, ArrivalSampler};
-pub use builder::{Scheduler, Sim, SimBuilder};
+pub use bnb_router::{PlacementEngine, PlacementSpec};
+pub use builder::{Sim, SimBuilder};
 pub use fleet::{ClusterServer, Fleet};
 pub use metrics::ClusterMetrics;
-#[allow(deprecated)]
-pub use placement::Router;
-pub use placement::{PlacementEngine, PlacementSpec};
 pub use scenario::{find_scenario, registry, Scenario, SMOKE_DIVISOR};
 pub use sharded::ShardedClusterSim;
-pub use sim::{ChurnConfig, ClusterEvent, ClusterSim, ClusterSpec};
+pub use sim::{ChurnConfig, ClusterSim, ClusterSpec};
 pub use sweep::ReplicaAccumulator;
 pub use telemetry::SimTelemetry;

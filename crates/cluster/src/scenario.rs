@@ -8,8 +8,8 @@
 //! plus load-oblivious baselines to compare against.
 
 use crate::arrivals::ArrivalProcess;
-use crate::placement::PlacementSpec;
 use crate::sim::{ChurnConfig, ClusterSpec};
+use crate::PlacementSpec;
 use bnb_core::CapacityVector;
 use bnb_distributions::Xoshiro256PlusPlus;
 

@@ -1,28 +1,38 @@
 //! The discrete-event cluster simulator: arrivals → placement → finite
-//! queues → departures, with optional churn, on any
-//! [`EventScheduler`] — the [`CalendarQueue`] slab timing wheel by
-//! default, the binary heap as the differential oracle.
+//! queues → departures, with optional churn.
 //!
-//! ## Drive loops
+//! ## The drive loop
 //!
-//! The dominant configuration — `DChoice { d: 2 }` placement, no
-//! churn, on the default scheduler — runs a **fused monomorphic loop**:
-//! arrival merging, the unrolled d = 2 compare over the fleet's packed
-//! load words, ziggurat service sampling and completion scheduling in
-//! one branch-predictable loop, with departures carried as bare `u32`
-//! server indices through a slot-keyed
-//! [`bnb_queueing::LazyBoard`] — the fleet holds at most
-//! one pending departure per server, so a schedule is two array stores
-//! and a pop validates a candidate-ring entry against the
+//! Every serial run goes through one fused loop that merges up to three
+//! event streams in time order: the pre-sampled arrivals, the pending
+//! departures and, when the spec churns, the periodic churn ticks.
+//! Arrivals win exact time ties against both. Departures are carried as
+//! bare `u32` server indices through a slot-keyed [`LazyBoard`]: the
+//! fleet holds at most one pending departure per server, so a schedule
+//! is two array stores and a pop validates a candidate against the
 //! authoritative per-slot array (no per-event enum dispatch, no heap
-//! or wheel maintenance). A **next-free bypass** on top serves a
-//! request landing on an idle server inline whenever its departure is
-//! provably the next event, skipping the scheduler entirely. Every
-//! other configuration takes the generic event loop. The two loops
-//! consume every RNG stream in the same per-stream order and resolve
-//! ties by the same insertion sequence, so they are metric-identical
-//! byte for byte — [`ClusterSim::run_generic`] exposes the generic
-//! loop precisely so the differential tests can prove that.
+//! or wheel maintenance). The clock, the next arrival, the board's
+//! front time and the next churn tick all live in registers. A
+//! **next-free bypass** on top serves a request landing on an idle
+//! server inline whenever its departure is provably the next event,
+//! skipping the board entirely.
+//!
+//! Placement goes through the engine's `place`, fed a counter-hashed
+//! request key only when the policy is key-driven (the ring policies).
+//! The loop is monomorphised over one switch fixed by the spec:
+//! `CHURN` adds the tick stream and the staleness check; without it
+//! both compile away. A server that leaves keeps its pending departure
+//! on the board: slots are never revived, so when that departure pops
+//! it advances the clock and is skipped as stale.
+//!
+//! **Tick/departure ties.** A departure and a churn tick at exactly
+//! the same time resolve departure-first here. The heap loop this
+//! engine replaced (kept as the test reference) resolved them by
+//! scheduling order, so there a tick scheduled before the departure
+//! went first. The two rules agree whenever no such exact tie occurs,
+//! which is almost surely: departure times carry a continuous
+//! Exp-distributed service time. A unit test builds an exact tie by
+//! hand and pins both rules.
 //!
 //! ## Determinism contract
 //!
@@ -30,31 +40,34 @@
 //! **dedicated derived streams** — arrivals, service, placement
 //! candidates, tie-breaks and churn each own a
 //! [`derive_seed`]-separated RNG — and each stream is consumed in
-//! event order (the scheduler contract breaks time ties by insertion
-//! sequence). Within a stream, draws are block pre-sampled (arrival
-//! gaps and Exp(1) service variates through
+//! event order (the board breaks time ties by insertion sequence).
+//! Within a stream, draws are block pre-sampled (arrival gaps and
+//! Exp(1) service variates through
 //! [`bnb_distributions::ExponentialBlock`]'s ziggurat stream, placement
 //! candidates through the batched alias sampler), which moves RNG work
 //! off the per-event path without changing any draw: the same seed
 //! replays the identical event trace, byte for byte, in the rendered
-//! metrics — on either scheduler, through either drive loop.
+//! metrics. The unit tests replay every registry scenario, and random
+//! churning specs, through a plain event loop on the binary heap
+//! ([`bnb_queueing::EventQueue`]) and require bitwise-identical
+//! metrics.
 
 use crate::arrivals::{ArrivalProcess, ArrivalSampler};
 use crate::fleet::Fleet;
 use crate::metrics::ClusterMetrics;
-use crate::placement::PlacementSpec;
 use crate::telemetry::SimTelemetry;
 use bnb_core::CapacityVector;
 use bnb_distributions::{derive_seed, ExponentialBlock, Xoshiro256PlusPlus};
 use bnb_hashring::hash::mix64;
-use bnb_queueing::calendar::CalendarQueue;
-use bnb_queueing::events::{EventScheduler, Time};
+use bnb_queueing::events::Time;
 use bnb_queueing::server::Admission;
-use bnb_queueing::{CalendarStats, LazyBoard, LazyStats};
-use bnb_router::{LoadView, Membership, PlacementEngine};
+use bnb_queueing::{LazyBoard, LazyStats};
+use bnb_router::{LoadView, Membership, PlacementEngine, PlacementSpec};
 use bnb_stats::Mergeable;
 use bnb_telemetry::{MetricsSnapshot, Registry};
-use std::any::TypeId;
+
+#[cfg(test)]
+mod reference;
 
 /// Stream id of the arrival-time RNG (gaps + thinning acceptances).
 /// Shared with the sharded engine: both derive the arrival stream as
@@ -96,45 +109,19 @@ pub struct ClusterSpec {
     pub requests: u64,
 }
 
-/// Events of the cluster simulation (public so the simulator can be
-/// generic over any [`EventScheduler`] carrying this payload).
-///
-/// Arrivals are **not** scheduler events: the arrival stream is
-/// pre-sampled and merged into the event loop through
-/// [`EventScheduler::pop_if_before`] (arrivals win exact time ties), so
-/// the scheduler only carries departures and churn ticks — half the
-/// scheduling traffic of the naive design.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ClusterEvent {
-    /// The job in service on `server` completes — stale (ignored) if the
-    /// server has left since this was scheduled; slots are never
-    /// revived, so `is_alive` fully identifies staleness.
-    Departure {
-        /// Slot index of the completing server.
-        server: usize,
-    },
-    /// One leave + one join, then reschedule.
-    ChurnTick,
-}
-
-/// The running simulator, generic over its event scheduler (calendar
-/// queue by default; see [`ClusterSim::with_scheduler`] to pin another
-/// implementation, e.g. the binary-heap oracle in differential tests).
+/// The serial simulator. Construct it through
+/// [`SimBuilder`](crate::SimBuilder).
 #[derive(Debug)]
-pub struct ClusterSim<Sch: EventScheduler<ClusterEvent> = CalendarQueue<ClusterEvent>> {
+pub struct ClusterSim {
     spec: ClusterSpec,
     fleet: Fleet,
     router: PlacementEngine,
-    events: Sch,
     arrivals: ArrivalSampler,
     /// Block-sampled Exp(1) service variates; scaled by `1/speed` at
     /// the departure-scheduling site.
     service: ExponentialBlock,
     churn_rng: Xoshiro256PlusPlus,
     key_seed: u64,
-    now: Time,
-    /// The merged arrival stream's next event (never in the scheduler).
-    next_arrival: Option<Time>,
     arrived: u64,
     orphaned: u64,
     joins: u64,
@@ -142,53 +129,28 @@ pub struct ClusterSim<Sch: EventScheduler<ClusterEvent> = CalendarQueue<ClusterE
     latencies: Vec<f64>,
     /// Metrics of the finished run (computed once; reruns return it).
     result: Option<ClusterMetrics>,
-    /// Per-component spans (inert unless [`ClusterSim::enable_telemetry`]
-    /// switched them on). A separate field so the drive loops can time
-    /// one component while borrowing the router/fleet disjointly.
+    /// Per-component spans (inert unless the builder passed a
+    /// registry). A separate field so the drive loop can time one
+    /// component while borrowing the router/fleet disjointly.
     tele: SimTelemetry,
-    /// Scheduler-internals stats harvested from drained departure
-    /// calendars (the generic scheduler's stats are read live at
-    /// snapshot time; this field folds in any calendar that dies
-    /// before then).
-    sched_stats: CalendarStats,
-    /// Lazy-deletion internals folded out of the fused loop's local
-    /// departure board when it drains (see [`bnb_queueing::LazyBoard`]).
+    /// Lazy-deletion internals folded out of the drive loop's local
+    /// departure board when it drains (see [`LazyBoard`]).
     lazy_stats: LazyStats,
-    /// Fused-loop requests served inline by the next-free bypass: the
-    /// request landed on an idle server and its departure was provably
-    /// the next event, so it never entered the scheduler at all.
+    /// Requests served inline by the next-free bypass: the request
+    /// landed on an idle server and its departure was provably the next
+    /// event, so it never entered the board at all.
     next_free_bypasses: u64,
 }
 
 impl ClusterSim {
-    /// Builds the simulator on the default calendar-queue scheduler.
+    /// Builds the simulator.
     ///
     /// # Panics
     /// Panics if the spec is invalid: empty fleet, bad placement
     /// parameters, invalid arrival process, non-positive churn interval,
     /// or an unbounded-queue spec whose arrival rate reaches the fleet's
     /// service capacity (the run could not drain).
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct through bnb_cluster::SimBuilder — the one surface that also \
-                carries the scheduler choice, telemetry registry and worker count"
-    )]
-    #[must_use]
-    pub fn new(spec: ClusterSpec, seed: u64) -> Self {
-        Self::with_scheduler(spec, seed)
-    }
-}
-
-impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
-    /// Builds the simulator on an explicit scheduler implementation
-    /// (same validation as [`ClusterSim::new`]). The scheduler cannot
-    /// change the trace — the determinism contract fixes the event
-    /// order — only its speed.
-    ///
-    /// # Panics
-    /// Panics under the same conditions as [`ClusterSim::new`].
-    #[must_use]
-    pub fn with_scheduler(spec: ClusterSpec, seed: u64) -> Self {
+    pub(crate) fn new(spec: ClusterSpec, seed: u64) -> Self {
         spec.arrivals.validate();
         if let Some(churn) = &spec.churn {
             assert!(
@@ -212,7 +174,6 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
         ClusterSim {
             fleet,
             router,
-            events: Sch::new(),
             arrivals: ArrivalSampler::new(spec.arrivals, derive_seed(seed, ARRIVAL_STREAM, 0)),
             service: ExponentialBlock::new(Xoshiro256PlusPlus::from_u64_seed(derive_seed(
                 seed,
@@ -221,8 +182,6 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
             ))),
             churn_rng: Xoshiro256PlusPlus::from_u64_seed(derive_seed(seed, CHURN_STREAM, 0)),
             key_seed: seed,
-            now: 0.0,
-            next_arrival: None,
             arrived: 0,
             orphaned: 0,
             joins: 0,
@@ -230,7 +189,6 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
             latencies: Vec::new(),
             result: None,
             tele: SimTelemetry::disabled(),
-            sched_stats: CalendarStats::new(),
             lazy_stats: LazyStats::new(),
             next_free_bypasses: 0,
             spec,
@@ -242,41 +200,20 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
     /// **schedule-invisible**: it draws no RNG values and schedules no
     /// events, so the metrics of a telemetry-on run are bitwise those
     /// of a telemetry-off run — the differential tests pin it.
-    #[deprecated(
-        since = "0.1.0",
-        note = "pass the registry to bnb_cluster::SimBuilder::telemetry instead"
-    )]
-    pub fn enable_telemetry(&mut self, registry: &Registry) {
-        self.set_telemetry(registry);
-    }
-
-    /// The non-deprecated internal form of
-    /// [`ClusterSim::enable_telemetry`] that [`crate::SimBuilder`]
-    /// configures through.
     pub(crate) fn set_telemetry(&mut self, registry: &Registry) {
         self.tele = SimTelemetry::from_registry(registry);
     }
 
     /// Harvests everything this run observed — span latency
-    /// distributions and trace events, scheduler-internals counters
-    /// (ring refills/spills, bulk-commit drains, rebuilds, occupancy at
-    /// rebuild), and arrival-thinning counts — into one exportable
-    /// snapshot. Meaningful after [`ClusterSim::run`]; the
-    /// scheduler-internals counters are live (always on) even when the
-    /// spans were never enabled.
+    /// distributions and trace events, the departure board's
+    /// lazy-deletion counters, the next-free bypass count and
+    /// arrival-thinning counts — into one exportable snapshot.
+    /// Meaningful after [`ClusterSim::run`]; the counters are live
+    /// (always on) even when the spans were never enabled.
     #[must_use]
     pub fn telemetry_snapshot(&self) -> MetricsSnapshot {
-        let mut sched = self.sched_stats.clone();
-        if let Some(stats) = self.events.calendar_stats() {
-            sched.merge_from(stats);
-        }
-        let mut lazy = self.lazy_stats.clone();
-        if let Some(stats) = self.events.lazy_stats() {
-            lazy.merge_from(stats);
-        }
         self.tele.harvest(
-            &sched,
-            &lazy,
+            &self.lazy_stats,
             self.next_free_bypasses,
             self.arrivals.thinning_counts(),
             self.arrived,
@@ -286,70 +223,15 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
     /// Runs the full request budget and drains the queues; returns the
     /// final metrics. A second call is a no-op returning the same
     /// metrics: the budget is already spent.
-    ///
-    /// The dominant configuration — `DChoice { d: 2 }` placement, no
-    /// churn — is driven by a fused monomorphic loop (see the module
-    /// docs); everything else takes the generic event loop. The two
-    /// are metric-identical (the
-    /// differential tests pin it bitwise), so the split is invisible
-    /// outside this method — [`ClusterSim::run_generic`] exists to pin
-    /// exactly that.
     pub fn run(&mut self) -> ClusterMetrics {
         if let Some(result) = &self.result {
             return result.clone();
         }
-        self.prime();
-        if self.fused_eligible() {
-            self.run_fused_loop();
+        let horizon = if self.spec.churn.is_some() {
+            self.drive::<true>()
         } else {
-            self.run_generic_loop();
-        }
-        self.finish()
-    }
-
-    /// Whether this run takes the fused fast path: `DChoice { d: 2 }`
-    /// placement, no churn, **and** the default calendar-queue
-    /// scheduler. Pinning an explicit scheduler
-    /// ([`ClusterSim::with_scheduler`]) opts out — an oracle run on the
-    /// binary heap must actually be driven by the binary heap, not
-    /// silently rerouted through the fused loop's departure tree.
-    fn fused_eligible(&self) -> bool {
-        self.spec.churn.is_none()
-            && matches!(self.spec.placement, PlacementSpec::DChoice { d: 2 })
-            && TypeId::of::<Sch>() == TypeId::of::<CalendarQueue<ClusterEvent>>()
-    }
-
-    /// Runs the request budget through the **generic** event loop even
-    /// when the spec is eligible for the fused fast path — the
-    /// differential oracle proving the fused loop changes no metric.
-    /// Same caching semantics as [`ClusterSim::run`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "only differential oracle tests need the generic loop pinned; \
-                everything else should run through bnb_cluster::SimBuilder"
-    )]
-    pub fn run_generic(&mut self) -> ClusterMetrics {
-        if let Some(result) = &self.result {
-            return result.clone();
-        }
-        self.prime();
-        self.run_generic_loop();
-        self.finish()
-    }
-
-    /// One-time run setup: first arrival, churn kickoff, latency buffer.
-    fn prime(&mut self) {
-        if self.arrived < self.spec.requests && self.next_arrival.is_none() {
-            self.next_arrival = Some(self.arrivals.next_after(self.now));
-            if let Some(churn) = self.spec.churn {
-                self.events.schedule(churn.start, ClusterEvent::ChurnTick);
-            }
-            self.latencies.reserve(self.spec.requests as usize);
-        }
-    }
-
-    /// Collects, caches and returns the metrics of a drained run.
-    fn finish(&mut self) -> ClusterMetrics {
+            self.drive::<false>()
+        };
         let metrics = ClusterMetrics::collect(
             &self.fleet,
             std::mem::take(&mut self.latencies),
@@ -357,78 +239,41 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
             self.orphaned,
             self.joins,
             self.leaves,
-            self.now,
+            horizon,
         );
         self.result = Some(metrics.clone());
         metrics
     }
 
-    /// The generic drive loop: any placement, any arrival process,
-    /// churn included.
-    fn run_generic_loop(&mut self) {
-        loop {
-            // Merge the pre-sampled arrival stream with the scheduled
-            // departures/churn ticks: scheduled events strictly before
-            // the next arrival go first, arrivals win exact ties.
-            if let Some(t_arr) = self.next_arrival {
-                match self.events.pop_if_before(t_arr) {
-                    Some((time, event)) => {
-                        self.now = time;
-                        self.dispatch(event);
-                    }
-                    None => {
-                        self.now = t_arr;
-                        self.handle_arrival();
-                    }
-                }
-            } else if let Some((time, event)) = self.events.pop() {
-                self.now = time;
-                self.dispatch(event);
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// The fused drive loop for the dominant configuration:
-    /// `DChoice { d: 2 }` placement, no churn, any arrival process.
+    /// The drive loop (see the module docs); returns the time of the
+    /// last event. `CHURN` must equal "the spec churns";
+    /// [`ClusterSim::run`] picks it once from the spec.
     ///
-    /// One branch-predictable loop keeps arrival merging, the unrolled
-    /// d = 2 compare over the fleet's dense load mirror, service
-    /// sampling and completion scheduling together — no per-event enum
-    /// dispatch. Without churn the only events are departures, and the
-    /// fleet holds **at most one pending departure per server**, so
-    /// they are carried as bare `u32` slot indices through a
-    /// slot-keyed [`LazyBoard`]: a schedule is one authoritative-array
-    /// store plus an unsorted bag append, a pop argmin-scans the
-    /// cursor's bag and validates the winner against the authoritative
-    /// per-slot entry, and the clock, arrival cursor and the board's
-    /// front time all live in registers instead of round-tripping
-    /// through `self` between events.
+    /// Departures and churn ticks strictly before the next arrival go
+    /// first, in time order (a departure wins an exact tie with a
+    /// tick); then the arrival is placed. The next arrival is drawn
+    /// *before* placement so the bypass test can compare against it;
+    /// every RNG stream is still consumed in its own event order, since
+    /// the streams are independently seeded.
     ///
-    /// On top of the board sits the **next-free bypass**: when a
-    /// request lands on an idle server and its departure time is
-    /// provably the next event — strictly before the next arrival
-    /// (arrivals win ties, so a tie disqualifies) and strictly below
-    /// the board's front time (mirrored exactly in the `dep_bound`
-    /// register) — the job is served start-to-finish inline
-    /// ([`Fleet::serve_one_now`]) and its departure never enters the
-    /// scheduler at all. Both strict comparisons make the trace
-    /// position unambiguous: the departure would have popped before
-    /// every pending event, and the server's queue goes 0 → 1 → 0 with
-    /// no observer in between, so every counter and the latency-push
-    /// order are exactly the generic loop's.
+    /// **Next-free bypass.** When a request lands on an idle server and
+    /// its departure time is strictly before the next arrival (arrivals
+    /// win ties, so a tie disqualifies), strictly below the board's
+    /// front time (mirrored exactly in the `dep_bound` register) and
+    /// strictly before the next churn tick, the job is served
+    /// start-to-finish inline ([`Fleet::serve_one_now`]) and its
+    /// departure never enters the board. The strict comparisons make
+    /// the trace position unambiguous: the departure would have popped
+    /// before every pending event, and the server's queue goes
+    /// 0 → 1 → 0 with no observer in between (no tick can retire the
+    /// server meanwhile), so every counter and the latency-push order
+    /// are unchanged.
     ///
-    /// Every RNG stream is consumed in exactly the generic loop's
-    /// per-stream order (the next arrival is drawn one step earlier
-    /// relative to the service stream, but the streams are
-    /// independently seeded, so each stream's draw sequence is
-    /// unchanged) and ties resolve by the same insertion sequence, so
-    /// the metrics are bitwise those of [`ClusterSim::run_generic`] —
-    /// the fused differential test pins that cell by cell.
-    fn run_fused_loop(&mut self) {
-        debug_assert!(self.spec.churn.is_none());
-        debug_assert!(self.events.is_empty(), "fused runs start unscheduled");
+    /// **Churn.** Ticks inside the budget always churn. The tick
+    /// pending when the budget is spent still fires during the drain —
+    /// it only stops churn, so all it can change is the horizon, when
+    /// it is the last event.
+    fn drive<const CHURN: bool>(&mut self) -> Time {
         /// Arrival times pre-sampled per refill. Arrivals chain off
         /// their own stream only, so a block is bitwise the scalar
         /// sequence; the size just keeps the thinning loop hot (the
@@ -436,10 +281,15 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
         /// per request otherwise) without outrunning the latency the
         /// drain loop can observe.
         const ARRIVAL_BLOCK: usize = 64;
+        debug_assert_eq!(CHURN, self.spec.churn.is_some());
         let requests = self.spec.requests;
+        if requests == 0 {
+            return 0.0;
+        }
+        self.latencies.reserve(requests as usize);
         let mut departures = LazyBoard::with_slots(self.fleet.n_slots());
-        let mut now = self.now;
-        let mut next_arrival = self.next_arrival;
+        let mut now = 0.0;
+        let mut next_arrival = Some(self.arrivals.next_after(now));
         let mut block: Vec<Time> = Vec::new();
         let mut block_pos = 0usize;
         // The board's front time, mirrored into a register: `schedule`
@@ -449,21 +299,31 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
         // per-arrival drain probe and the bypass test then cost one
         // f64 compare each instead of a board call.
         let mut dep_bound = f64::INFINITY;
+        // The churn stream: its next tick, and the period that chains
+        // each tick off the one before.
+        let (mut next_tick, interval) = match self.spec.churn {
+            Some(churn) if CHURN => (churn.start, churn.interval),
+            _ => (f64::INFINITY, f64::INFINITY),
+        };
         while let Some(t_arr) = next_arrival {
-            // Scheduled departures strictly before the next arrival go
-            // first; the arrival wins exact ties.
-            while dep_bound < t_arr {
-                let (time, server) = departures.pop().expect("front at dep_bound");
-                now = time;
-                self.fused_depart(&mut departures, server as usize, now);
-                dep_bound = departures.min_time_bound().unwrap_or(f64::INFINITY);
+            loop {
+                if CHURN && next_tick < t_arr && next_tick < dep_bound {
+                    now = next_tick;
+                    self.churn_tick(now);
+                    next_tick = now + interval;
+                } else if dep_bound < t_arr {
+                    let (time, server) = departures.pop().expect("front at dep_bound");
+                    now = time;
+                    self.depart::<CHURN>(&mut departures, server as usize, now);
+                    dep_bound = departures.min_time_bound().unwrap_or(f64::INFINITY);
+                } else {
+                    break;
+                }
             }
             now = t_arr;
             self.arrived += 1;
-            // The next arrival is drawn *before* placement so the
-            // bypass test below can compare against it. The refill
-            // chains off `now` — the arrival just consumed — exactly
-            // where the scalar stream was.
+            // The refill chains off `now` — the arrival just consumed —
+            // exactly where the scalar stream was.
             next_arrival = if self.arrived < requests {
                 if block_pos == block.len() {
                     let n = ((requests - self.arrived) as usize).min(ARRIVAL_BLOCK);
@@ -477,10 +337,15 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
             } else {
                 None
             };
-            // Key-oblivious placement: the d = 2 fast path over the
-            // packed (queue_len, speed) load words.
             let tp = self.tele.place.enter();
-            let target = self.router.place_d2(&self.fleet);
+            // Counter-hashed request key: deterministic, uniform over
+            // u64 — only computed for the key-driven (ring) policies.
+            let key = if self.router.needs_key() {
+                mix64(self.key_seed ^ self.arrived.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            } else {
+                0
+            };
+            let target = self.router.place(&self.fleet, key);
             if LoadView::load(&self.fleet, target).0 != 0 {
                 // Busy target: the request queues (or drops); no
                 // departure to schedule either way.
@@ -492,13 +357,16 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
             self.tele.place.exit(tp);
             // Idle target: service starts now (an idle queue always
             // admits), so draw the service time and decide where the
-            // departure goes.
+            // departure goes. Exp(1) work at rate `speed` ⇒ Exp(speed)
+            // service time, through the precomputed reciprocal.
             let ts = self.tele.schedule.enter();
             let service = self.service.next() * self.fleet.inv_speed_of(target);
             let t_dep = now + service;
-            let is_next = next_arrival.is_none_or(|t| t_dep < t) && t_dep < dep_bound;
+            let is_next = next_arrival.is_none_or(|t| t_dep < t)
+                && t_dep < dep_bound
+                && (!CHURN || t_dep < next_tick);
             if is_next {
-                // Next-free bypass: serve inline, skip the scheduler.
+                // Next-free bypass: serve inline, skip the board.
                 self.next_free_bypasses += 1;
                 self.tele.schedule.exit(ts);
                 let td = self.tele.depart.enter();
@@ -517,20 +385,28 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
         // Budget offered; drain the queues.
         while let Some((time, server)) = departures.pop() {
             now = time;
-            self.fused_depart(&mut departures, server as usize, now);
+            self.depart::<CHURN>(&mut departures, server as usize, now);
         }
-        self.now = now;
-        self.next_arrival = None;
+        if CHURN {
+            // The tick pending past the budget fires in time order and
+            // stops churn: it moves the clock only if it comes last.
+            now = now.max(next_tick);
+        }
         // The local departure board dies with this loop; fold its
         // internals counters into the run's stats first.
         self.lazy_stats.merge_from(departures.stats());
+        now
     }
 
-    /// Departure handling of the fused loop: no staleness check (churn
-    /// is excluded, so every scheduled departure is live — the generic
-    /// loop's `is_alive` test is identically true there).
+    /// A departure popped off the board at `now`. Under churn it may be
+    /// stale — its server left since it was scheduled — and is skipped
+    /// (slots are never revived, so `is_alive` fully identifies
+    /// staleness); without churn every departure is live.
     #[inline]
-    fn fused_depart(&mut self, departures: &mut LazyBoard, server: usize, now: Time) {
+    fn depart<const CHURN: bool>(&mut self, departures: &mut LazyBoard, server: usize, now: Time) {
+        if CHURN && !self.fleet.server(server).is_alive() {
+            return;
+        }
         let td = self.tele.depart.enter();
         let (latency, more) = self.fleet.depart(server, now);
         self.latencies.push(latency);
@@ -543,85 +419,22 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
         }
     }
 
-    #[inline]
-    fn dispatch(&mut self, event: ClusterEvent) {
-        match event {
-            ClusterEvent::Departure { server } => {
-                // Stale departures (the server left since this was
-                // scheduled) are dropped on the floor.
-                if self.fleet.server(server).is_alive() {
-                    let td = self.tele.depart.enter();
-                    let (latency, more) = self.fleet.depart(server, self.now);
-                    self.latencies.push(latency);
-                    self.tele.depart.exit(td);
-                    if more {
-                        self.schedule_departure(server);
-                    }
-                }
-            }
-            ClusterEvent::ChurnTick => self.handle_churn_tick(),
-        }
-    }
-
-    #[inline]
-    fn handle_arrival(&mut self) {
-        self.arrived += 1;
-        // Counter-hashed request key: deterministic, uniform over u64 —
-        // only computed for the key-driven (ring) policies.
-        let tp = self.tele.place.enter();
-        let key = if self.router.needs_key() {
-            mix64(self.key_seed ^ self.arrived.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        } else {
-            0
-        };
-        let target = self.router.place(&self.fleet, key);
-        let admission = self.fleet.try_join(target, self.now);
-        self.tele.place.exit(tp);
-        if admission == Admission::StartedService {
-            self.schedule_departure(target);
-        }
-        self.next_arrival = if self.arrived < self.spec.requests {
-            let ta = self.tele.arrival.enter();
-            let next = self.arrivals.next_after(self.now);
-            self.tele.arrival.exit(ta);
-            Some(next)
-        } else {
-            None
-        };
-    }
-
-    #[inline]
-    fn schedule_departure(&mut self, server: usize) {
-        // Exp(1) work at rate `speed` ⇒ Exp(speed) service time. The
-        // precomputed reciprocal (not a per-event divide) is shared
-        // with the fused loop so both produce bit-identical times.
-        let ts = self.tele.schedule.enter();
-        let service = self.service.next() * self.fleet.inv_speed_of(server);
-        self.events
-            .schedule(self.now + service, ClusterEvent::Departure { server });
-        self.tele.schedule.exit(ts);
-    }
-
-    fn handle_churn_tick(&mut self) {
-        // Stop churning once the last arrival is in; the run is draining.
-        if self.arrived >= self.spec.requests {
-            return;
-        }
+    /// One churn tick inside the request budget: a random alive server
+    /// leaves (orphaning its backlog) and a fresh server of the same
+    /// speed joins — stationary capacity mix, fresh arcs on the ring.
+    #[cold]
+    fn churn_tick(&mut self, now: Time) {
+        debug_assert!(self.arrived < self.spec.requests);
         let alive = self.fleet.alive_indices();
         if alive.len() > 1 {
             let victim = alive[self.churn_rng.next_below(alive.len() as u64) as usize];
             let speed = self.fleet.server(victim).speed();
-            self.orphaned += self.fleet.deactivate(victim, self.now);
+            self.orphaned += self.fleet.deactivate(victim, now);
             self.leaves += 1;
-            // A fresh server of the same speed joins: stationary capacity
-            // mix, fresh arcs on the ring.
             self.fleet.activate_new(speed);
             self.joins += 1;
             self.router.rebuild(&self.fleet.membership());
         }
-        let interval = self.spec.churn.expect("tick implies churn config").interval;
-        self.events
-            .schedule(self.now + interval, ClusterEvent::ChurnTick);
     }
 
     /// Read access to the fleet (used by tests and the CLI's per-server
@@ -640,10 +453,7 @@ impl<Sch: EventScheduler<ClusterEvent> + 'static> ClusterSim<Sch> {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated shims are this module's test subject.
-    #![allow(deprecated)]
     use super::*;
-    use bnb_queueing::events::EventQueue;
 
     fn base_spec() -> ClusterSpec {
         let speeds = CapacityVector::two_class(8, 1, 8, 8);
@@ -678,12 +488,19 @@ mod tests {
 
     #[test]
     fn zero_requests_simulates_nothing() {
+        // Churn included: with no budget to offer, not even the first
+        // tick fires, so the horizon stays at zero.
         let mut spec = base_spec();
         spec.requests = 0;
+        spec.churn = Some(ChurnConfig {
+            start: 0.0,
+            interval: 1.0,
+        });
         let mut sim = ClusterSim::new(spec, 1);
         let m = sim.run();
         assert_eq!(m.requests, 0);
         assert_eq!(m.completed, 0);
+        assert_eq!(m.leaves, 0);
         assert_eq!(m.horizon, 0.0);
     }
 
@@ -703,22 +520,6 @@ mod tests {
         assert_eq!(a, b, "identical seeds must replay identically");
         let c = run(43);
         assert_ne!(a, c, "different seeds should differ (w.o.p.)");
-    }
-
-    #[test]
-    fn heap_scheduler_replays_the_calendar_trace() {
-        // The spot check behind the full registry-wide differential
-        // tests: neither the scheduler choice nor the drive loop may
-        // leak into the metrics. `run()` on the default scheduler takes
-        // the fused fast path here (d-choice d=2, no churn); pinning
-        // the heap oracle opts out of it, so this compares the fused
-        // loop against the heap-driven generic loop in one assertion.
-        let fused = ClusterSim::new(base_spec(), 5).run();
-        let heap = ClusterSim::<EventQueue<ClusterEvent>>::with_scheduler(base_spec(), 5).run();
-        assert_eq!(fused, heap);
-        // And the calendar-driven generic loop agrees with both.
-        let generic = ClusterSim::new(base_spec(), 5).run_generic();
-        assert_eq!(fused, generic);
     }
 
     #[test]

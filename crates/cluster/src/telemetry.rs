@@ -1,5 +1,5 @@
 //! Simulator telemetry: the per-component [`Span`] set threaded
-//! through both drive loops, and the end-of-run harvest into a
+//! through the serial drive loop, and the end-of-run harvest into a
 //! [`MetricsSnapshot`].
 //!
 //! The spans mirror the README "Anatomy of a ~95 ns request"
@@ -10,10 +10,10 @@
 //! span entry is then a single predicted branch, and nothing records.
 //! On or off, telemetry draws zero RNG values and schedules zero
 //! events, so it cannot change a simulation artifact — the
-//! differential tests run the fused, generic and heap loops with
-//! telemetry enabled and require bitwise-identical metrics.
+//! differential tests run every scenario with telemetry enabled and
+//! require bitwise-identical metrics.
 
-use bnb_queueing::{CalendarStats, LazyStats};
+use bnb_queueing::LazyStats;
 use bnb_telemetry::{MetricsSnapshot, Registry, Span};
 
 /// Chrome://tracing track ids, one per instrumented component.
@@ -23,18 +23,17 @@ const TID_SCHEDULE: u32 = 3;
 const TID_DEPART: u32 = 4;
 
 /// The simulator's span set. Owned by `ClusterSim` as a plain field so
-/// the drive loops can time one component while borrowing the router,
-/// fleet and scheduler disjointly.
+/// the drive loop can time one component while borrowing the router,
+/// fleet and departure board disjointly.
 #[derive(Debug)]
 pub struct SimTelemetry {
     registry: Registry,
-    /// Arrival sampling: one block refill in the fused loop, one
-    /// `next_after` in the generic loop.
+    /// Arrival sampling: one block refill of arrival times.
     pub(crate) arrival: Span,
-    /// Placement: the d = 2 compare (or generic `place`) plus
-    /// `try_join`.
+    /// Placement: the d = 2 compare (or the general `place`), plus
+    /// `try_join` when the target is busy.
     pub(crate) place: Span,
-    /// Departure scheduling: ziggurat service draw + calendar insert.
+    /// Departure scheduling: ziggurat service draw + board insert.
     pub(crate) schedule: Span,
     /// Departure bookkeeping: `Fleet::depart` + latency record.
     pub(crate) depart: Span,
@@ -65,12 +64,10 @@ impl SimTelemetry {
         self.registry.is_enabled()
     }
 
-    /// Harvests the spans plus the scheduler-internals (calendar and
-    /// lazy-board), next-free-bypass and thinning counters into one
-    /// snapshot.
+    /// Harvests the spans plus the departure board's lazy-deletion,
+    /// next-free-bypass and thinning counters into one snapshot.
     pub(crate) fn harvest(
         &self,
-        sched: &CalendarStats,
         lazy: &LazyStats,
         next_free_bypasses: u64,
         thinning: (u64, u64, u64),
@@ -82,7 +79,6 @@ impl SimTelemetry {
         for span in [&self.arrival, &self.place, &self.schedule, &self.depart] {
             snap.add_span(span);
         }
-        sched.record_into(&mut snap);
         lazy.record_into(&mut snap);
         let (accepted, rejected, squeeze) = thinning;
         snap.add_counter("arrivals.thinning_accepted", accepted);

@@ -7,22 +7,23 @@
 //!    the equivalent static weight vector.
 //! 2. Every registered scenario is deterministic: same seed → bitwise
 //!    identical rendered metrics.
-//! 3. The scheduler is interchangeable: on every registry scenario the
-//!    binary-heap oracle and the calendar-queue default produce
-//!    byte-identical metrics (the `EventScheduler` determinism
-//!    contract, end to end).
-
-// These oracles deliberately pin the deprecated `ClusterSim` shims:
-// they must keep producing exactly what `SimBuilder` produces.
-#![allow(deprecated)]
+//! 3. Telemetry is schedule-invisible: a fully traced run of every
+//!    scenario replays the plain run bit for bit.
+//!
+//! The drive loop itself is checked against a binary-heap reference
+//! loop by the crate's unit tests (`sim::reference`).
 
 use bnb_cluster::{
-    registry, ClusterEvent, ClusterSim, Fleet, PlacementEngine, PlacementSpec, SMOKE_DIVISOR,
+    registry, ClusterMetrics, ClusterSpec, Fleet, PlacementEngine, PlacementSpec, SimBuilder,
+    SMOKE_DIVISOR,
 };
 use bnb_core::prelude::*;
 use bnb_hashring::hash::mix64;
-use bnb_queueing::EventQueue;
 use bnb_telemetry::Registry;
+
+fn run(spec: ClusterSpec, seed: u64) -> ClusterMetrics {
+    SimBuilder::new(spec).seed(seed).build().run()
+}
 
 /// Drives `m` placements into a fleet that never serves anything:
 /// the cluster-side equivalent of throwing `m` balls.
@@ -121,7 +122,7 @@ fn every_scenario_is_bitwise_deterministic() {
         let requests = (scenario.default_requests / SMOKE_DIVISOR).min(5_000);
         let render = |seed: u64| {
             let spec = (scenario.build)(seed, requests);
-            let metrics = ClusterSim::new(spec, seed).run();
+            let metrics = run(spec, seed);
             metrics.render_table() + &metrics.to_series_set("det", "det").to_plot_text()
         };
         let a = render(31337);
@@ -133,177 +134,44 @@ fn every_scenario_is_bitwise_deterministic() {
 }
 
 #[test]
-fn heap_and_calendar_schedulers_agree_on_every_scenario() {
-    // The scheduler differential: swapping the binary-heap oracle for
-    // the slab calendar-queue default must not move a single byte of
-    // any scenario's rendered output — quantiles, per-server curves,
-    // churn counters and all. Driven through `run_generic` so both
-    // sides genuinely exercise their scheduler on every scenario (the
-    // fused fast path carries its own departures and is pinned by the
-    // fused-vs-generic differential below).
-    for scenario in registry() {
-        let requests = (scenario.default_requests / SMOKE_DIVISOR).min(5_000);
-        let seed = 0xCA1E;
-        let calendar = {
-            let spec = (scenario.build)(seed, requests);
-            ClusterSim::new(spec, seed).run_generic()
-        };
-        let heap = {
-            let spec = (scenario.build)(seed, requests);
-            ClusterSim::<EventQueue<ClusterEvent>>::with_scheduler(spec, seed).run_generic()
-        };
-        assert_eq!(
-            calendar, heap,
-            "{}: scheduler choice leaked into the metrics",
-            scenario.id
-        );
-        let render = |m: &bnb_cluster::ClusterMetrics| {
-            m.render_table() + &m.to_series_set("sched", "sched").to_plot_text()
-        };
-        assert_eq!(
-            render(&calendar),
-            render(&heap),
-            "{}: rendered output must be byte-identical",
-            scenario.id
-        );
-    }
-}
-
-#[test]
-fn fused_loop_replays_the_generic_loop_on_every_scenario() {
-    // The fused-loop differential: `run()` (which takes the fused
-    // monomorphic fast path for d-choice d=2, churn-free specs on the
-    // default scheduler) must produce byte-identical metrics to
-    // `run_generic()` (the any-placement event loop) — and to the
-    // generic loop driven by the binary-heap oracle, closing the
-    // triangle. Scenarios outside the fused configuration take the
-    // generic loop on both sides, which keeps this assertion total
-    // over the registry rather than special-cased.
-    for scenario in registry() {
-        let requests = (scenario.default_requests / SMOKE_DIVISOR).min(5_000);
-        let seed = 0xF0_5ED;
-        let fused = {
-            let spec = (scenario.build)(seed, requests);
-            ClusterSim::new(spec, seed).run()
-        };
-        let generic = {
-            let spec = (scenario.build)(seed, requests);
-            ClusterSim::new(spec, seed).run_generic()
-        };
-        let heap_generic = {
-            let spec = (scenario.build)(seed, requests);
-            ClusterSim::<EventQueue<ClusterEvent>>::with_scheduler(spec, seed).run_generic()
-        };
-        assert_eq!(
-            fused, generic,
-            "{}: the fused loop changed the metrics",
-            scenario.id
-        );
-        assert_eq!(
-            fused, heap_generic,
-            "{}: fused loop vs heap-driven generic loop diverged",
-            scenario.id
-        );
-        let render = |m: &bnb_cluster::ClusterMetrics| {
-            m.render_table() + &m.to_series_set("fused", "fused").to_plot_text()
-        };
-        assert_eq!(
-            render(&fused),
-            render(&generic),
-            "{}: rendered output must be byte-identical",
-            scenario.id
-        );
-    }
-}
-
-#[test]
 fn telemetry_is_schedule_invisible_on_every_scenario() {
-    // The telemetry differential: enabling spans, tracing and the
-    // scheduler-internals counters must not move a single byte of any
-    // scenario's metrics on any drive loop. Telemetry draws zero RNG
-    // values and schedules zero events, so fused, generic and heap
-    // runs with a fully enabled registry must replay the plain runs
-    // exactly — and still agree with each other.
+    // Enabling spans, tracing and the board counters must not move a
+    // single byte of any scenario's metrics: telemetry draws zero RNG
+    // values and schedules zero events.
     for scenario in registry() {
         let requests = (scenario.default_requests / SMOKE_DIVISOR).min(5_000);
         let seed = 0x7E1E;
         let registry_on = Registry::with_sampling(0, 1 << 14); // sample everything
-        let fused_off = {
-            let spec = (scenario.build)(seed, requests);
-            ClusterSim::new(spec, seed).run()
-        };
-        let (fused_on, fused_snap) = {
-            let spec = (scenario.build)(seed, requests);
-            let mut sim = ClusterSim::new(spec, seed);
-            sim.enable_telemetry(&registry_on);
-            let m = sim.run();
-            (m, sim.telemetry_snapshot())
-        };
-        assert_eq!(
-            fused_off, fused_on,
-            "{}: telemetry perturbed the fused loop",
-            scenario.id
-        );
+        let off = run((scenario.build)(seed, requests), seed);
+        let mut sim = SimBuilder::new((scenario.build)(seed, requests))
+            .seed(seed)
+            .telemetry(&registry_on)
+            .build();
+        let on = sim.run();
+        let snap = sim.telemetry_snapshot();
+        assert_eq!(off, on, "{}: telemetry perturbed the run", scenario.id);
         // The enabled run must actually have observed the traffic —
         // otherwise this test is vacuous.
         assert_eq!(
-            fused_snap.counter("sim.arrived"),
+            snap.counter("sim.arrived"),
             Some(requests),
             "{}: telemetry snapshot missed arrivals",
             scenario.id
         );
         assert!(
-            fused_snap.counter("sim.place.calls").unwrap_or(0) >= requests,
+            snap.counter("sim.place.calls").unwrap_or(0) >= requests,
             "{}: place span saw fewer calls than requests",
             scenario.id
         );
-        // The lazy-board counters are always harvested; on scenarios
-        // that take the fused fast path (d-choice d=2, no churn) the
-        // slot-keyed departure path must actually have fired — every
-        // served request either bypassed the scheduler or went through
-        // the board's ring/rebuild machinery.
+        // Every scenario drives its departures through the lazy board:
+        // each served request either bypassed it or went through its
+        // ring/rebuild machinery.
+        let lazy_activity = snap.counter("lazy.ring_inserts").unwrap_or(0)
+            + snap.counter("lazy.rebuild_scans").unwrap_or(0)
+            + snap.counter("sim.next_free_bypass").unwrap_or(0);
         assert!(
-            fused_snap.counter("lazy.ring_inserts").is_some()
-                && fused_snap.counter("sim.next_free_bypass").is_some(),
-            "{}: lazy scheduler counters missing from the snapshot",
-            scenario.id
-        );
-        let spec_probe = (scenario.build)(seed, requests);
-        let fused_eligible = spec_probe.churn.is_none()
-            && matches!(
-                spec_probe.placement,
-                bnb_cluster::PlacementSpec::DChoice { d: 2 }
-            );
-        if fused_eligible {
-            let lazy_activity = fused_snap.counter("lazy.ring_inserts").unwrap_or(0)
-                + fused_snap.counter("lazy.rebuild_scans").unwrap_or(0)
-                + fused_snap.counter("sim.next_free_bypass").unwrap_or(0);
-            assert!(
-                lazy_activity > 0,
-                "{}: fused run never exercised the lazy departure path",
-                scenario.id
-            );
-        }
-        let generic_on = {
-            let spec = (scenario.build)(seed, requests);
-            let mut sim = ClusterSim::new(spec, seed);
-            sim.enable_telemetry(&registry_on);
-            sim.run_generic()
-        };
-        assert_eq!(
-            fused_off, generic_on,
-            "{}: telemetry perturbed the generic loop",
-            scenario.id
-        );
-        let heap_on = {
-            let spec = (scenario.build)(seed, requests);
-            let mut sim = ClusterSim::<EventQueue<ClusterEvent>>::with_scheduler(spec, seed);
-            sim.enable_telemetry(&registry_on);
-            sim.run_generic()
-        };
-        assert_eq!(
-            fused_off, heap_on,
-            "{}: telemetry perturbed the heap-driven loop",
+            lazy_activity > 0,
+            "{}: run never exercised the lazy departure path",
             scenario.id
         );
     }
@@ -314,7 +182,7 @@ fn scenario_runs_conserve_requests() {
     for scenario in registry() {
         let requests = (scenario.default_requests / SMOKE_DIVISOR).min(5_000);
         let spec = (scenario.build)(7, requests);
-        let m = ClusterSim::new(spec, 7).run();
+        let m = run(spec, 7);
         assert_eq!(m.requests, requests, "{}", scenario.id);
         assert_eq!(
             m.completed + m.dropped + m.orphaned,
@@ -337,17 +205,17 @@ fn two_class_beats_successor_on_tail_latency() {
     // in p99 latency and peak normalised queue.
     let two_class = bnb_cluster::find_scenario("two-class").unwrap();
     let successor = bnb_cluster::find_scenario("successor").unwrap();
-    let run = |s: &bnb_cluster::Scenario| {
+    let equalised = |s: &bnb_cluster::Scenario| {
         let mut spec = (s.build)(11, 10_000);
         // Equalise traffic so only the placement differs.
         spec.arrivals = bnb_cluster::ArrivalProcess::Poisson {
             rate: 0.85 * spec.speeds.total() as f64,
         };
         spec.queue_capacity = Some(256);
-        ClusterSim::new(spec, 11).run()
+        run(spec, 11)
     };
-    let smart = run(two_class);
-    let oblivious = run(successor);
+    let smart = equalised(two_class);
+    let oblivious = equalised(successor);
     assert!(
         smart.max_normalized_queue < oblivious.max_normalized_queue,
         "d-choice peak {} should beat successor {}",

@@ -9,23 +9,6 @@
 use crate::hash::{mix64, peer_point};
 use crate::ring::{HashRing, RingPoint};
 
-/// Builds the ring for an explicit membership: peer `i` of the returned
-/// ring is `peer_ids[i]`, placed at its `vnodes_per_peer` stable
-/// pseudo-random points.
-///
-/// # Panics
-/// Panics if `peer_ids` is empty, contains duplicates (two peers would
-/// collide on every point), or `vnodes_per_peer == 0`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use MembershipRing::new, which also supports incremental rebuilds \
-            on churn (or route through bnb-router's RouterBuilder)"
-)]
-#[must_use]
-pub fn membership_ring(seed: u64, peer_ids: &[u64], vnodes_per_peer: usize) -> HashRing {
-    MembershipRing::new(seed, vnodes_per_peer, peer_ids).into_ring()
-}
-
 /// A membership-indexed ring that rebuilds **incrementally** on churn.
 ///
 /// Peer `i` of the ring is `peer_ids[i]`, placed at its
@@ -429,16 +412,6 @@ mod tests {
         mring.update(&[2, 0, 5]); // unsorted: full rebuild path
         let full = MembershipRing::new(5, 4, &[2, 0, 5]);
         assert_eq!(mring.ring(), full.ring());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_membership_ring_matches_membership_ring_type() {
-        // The deprecated free function is a shim over MembershipRing and
-        // must keep returning the identical ring.
-        let old = membership_ring(42, &[3, 5, 8], 4);
-        let new = MembershipRing::new(42, 4, &[3, 5, 8]);
-        assert_eq!(&old, new.ring());
     }
 
     #[test]

@@ -38,8 +38,6 @@ pub mod ring;
 
 pub use byers::ByersGame;
 pub use chord::ChordOverlay;
-#[allow(deprecated)]
-pub use churn::membership_ring;
 pub use churn::{ChurnSimulator, MembershipRing};
 pub use rendezvous::Rendezvous;
 pub use ring::HashRing;

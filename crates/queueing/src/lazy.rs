@@ -5,10 +5,8 @@
 //! busy server, over a fixed slot universe. Both general schedulers
 //! pay structural costs that workload never needs — the heap its
 //! `log n` sift, the calendar wheel its arena, bucket chains, ring
-//! refills and sorted-bucket maintenance — and even the eager
-//! tournament board ([`SlotBoard`](crate::SlotBoard)) replays `log n`
-//! compare rounds on *every* schedule and pop. The lazy board drops
-//! all of it:
+//! refills and sorted-bucket maintenance. The lazy board drops all of
+//! it:
 //!
 //! * **Authoritative state is one dense array.** `schedule(slot, t)`
 //!   writes a packed `(time, seq)` key into a per-slot array — one
@@ -131,8 +129,7 @@ fn wheel_bags(slots: usize) -> usize {
 }
 
 /// Remaps an `f64`'s bits so unsigned integer order matches
-/// `total_cmp` order (the classic radix-sort float map — shared idiom
-/// with [`SlotBoard`](crate::SlotBoard)).
+/// `total_cmp` order (the classic radix-sort float map).
 #[inline]
 fn monotone_bits(t: Time) -> u64 {
     let b = t.to_bits();
@@ -699,10 +696,6 @@ impl EventScheduler<u32> for LazyBoard {
 
     fn len(&self) -> usize {
         LazyBoard::len(self)
-    }
-
-    fn lazy_stats(&self) -> Option<&LazyStats> {
-        Some(&self.stats)
     }
 }
 

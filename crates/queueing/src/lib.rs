@@ -16,26 +16,23 @@
 //!   [`EventScheduler`] trait (earliest-first, FIFO-on-ties determinism
 //!   contract), the binary-heap [`EventQueue`] reference implementation,
 //!   and the simulation clock — generic over the event payload, so
-//!   richer simulators such as `bnb-cluster` reuse it,
+//!   richer simulators reuse it (`bnb-cluster`'s tests drive its heap
+//!   as their reference loop),
 //! * [`calendar`] — the [`CalendarQueue`]: a bucketed timing wheel with
 //!   dynamic bucket-width resizing and an overflow ladder, the amortised
 //!   O(1) general-purpose scheduler of the simulators,
 //! * [`lazy`] — the [`LazyBoard`]: slot-keyed lazy deletion for the
 //!   at-most-one-event-per-slot workload (O(1) overwrite schedules, a
-//!   stale-tolerant candidate ring validated on pop) — the cluster's
-//!   fused-loop departure scheduler,
-//! * [`board`] — the [`SlotBoard`]: the eager tournament-tree
-//!   alternative over the same slot-keyed workload, kept as the naive
-//!   baseline the lazy board is benched against,
+//!   stale-tolerant candidate ring validated on pop) — the cluster
+//!   engines' departure scheduler,
 //! * [`server`] — heterogeneous-speed server state with time-integrated
 //!   queue-length accounting and optional finite queues with drop
 //!   counting,
 //! * [`router`] — routing policies (JSQ(d) with the paper's capacity
 //!   tie-break, least-work, random),
 //! * [`stats`] — always-on scheduler-internals telemetry: the
-//!   [`CalendarStats`] block behind the calendar's amortised-O(1)
-//!   claim (ring refills/spills, bulk-commit drains, rebuilds,
-//!   occupancy-at-rebuild distributions),
+//!   [`LazyStats`] block behind the lazy board's deferred deletions
+//!   (overwrites, stale pops, ring drops, geometry rebuilds),
 //! * [`system`] — the simulator: arrivals, departures, metrics.
 //!
 //! The test-suite verifies textbook laws (M/M/1 mean queue length,
@@ -47,7 +44,6 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod board;
 pub mod calendar;
 pub mod events;
 pub mod lazy;
@@ -56,11 +52,10 @@ pub mod server;
 pub mod stats;
 pub mod system;
 
-pub use board::SlotBoard;
 pub use calendar::CalendarQueue;
 pub use events::{EventQueue, EventScheduler};
 pub use lazy::LazyBoard;
 pub use router::RoutingPolicy;
 pub use server::{Admission, Server};
-pub use stats::{CalendarStats, LazyStats};
+pub use stats::LazyStats;
 pub use system::{QueueMetrics, QueueSystem, SystemConfig};

@@ -60,26 +60,21 @@ pub struct QueueMetrics {
     pub horizon: Time,
 }
 
-/// The discrete-event system, generic over its [`EventScheduler`]; the
-/// calendar queue is the monomorphic default, and the binary-heap
-/// [`EventQueue`](crate::EventQueue) remains available via
-/// [`QueueSystem::with_scheduler`] as the differential oracle. The
-/// scheduler contract (earliest-first, FIFO on ties) makes the two
-/// bitwise interchangeable.
+/// The discrete-event system, scheduling through the
+/// [`CalendarQueue`].
 #[derive(Debug)]
-pub struct QueueSystem<Sch: EventScheduler<Event> = CalendarQueue<Event>> {
+pub struct QueueSystem {
     servers: Vec<Server>,
     sampler: AliasTable,
     config: SystemConfig,
-    events: Sch,
+    events: CalendarQueue<Event>,
     rng: Xoshiro256PlusPlus,
     arrival_dist: Exponential,
     now: Time,
 }
 
 impl QueueSystem {
-    /// Builds the system on the given server speeds, scheduling through
-    /// the default [`CalendarQueue`].
+    /// Builds the system on the given server speeds.
     ///
     /// # Panics
     /// Panics if `d` is out of range, `rho` is invalid (non-positive, or
@@ -87,20 +82,6 @@ impl QueueSystem {
     /// are invalid.
     #[must_use]
     pub fn new(speeds: &CapacityVector, config: SystemConfig, seed: u64) -> Self {
-        Self::with_scheduler(speeds, config, seed)
-    }
-}
-
-impl<Sch: EventScheduler<Event>> QueueSystem<Sch> {
-    /// Builds the system on an explicit scheduler implementation (same
-    /// validation as [`QueueSystem::new`]).
-    ///
-    /// # Panics
-    /// Panics if `d` is out of range, `rho` is invalid (non-positive, or
-    /// `≥ 1` while the queues are unbounded), or the selection weights
-    /// are invalid.
-    #[must_use]
-    pub fn with_scheduler(speeds: &CapacityVector, config: SystemConfig, seed: u64) -> Self {
         assert!(config.d >= 1 && config.d <= MAX_D, "d out of range");
         assert!(
             config.rho > 0.0 && config.rho.is_finite(),
@@ -124,7 +105,7 @@ impl<Sch: EventScheduler<Event>> QueueSystem<Sch> {
             servers: speeds.as_slice().iter().map(|&s| make_server(s)).collect(),
             sampler,
             config,
-            events: Sch::new(),
+            events: CalendarQueue::new(),
             rng: Xoshiro256PlusPlus::from_u64_seed(seed),
             arrival_dist: Exponential::new(arrival_rate),
             now: 0.0,

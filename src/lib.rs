@@ -75,9 +75,9 @@ pub use bnb_telemetry as telemetry;
 /// ```
 pub mod prelude {
     pub use bnb_cluster::{
-        find_scenario, ArrivalProcess, ArrivalSampler, ChurnConfig, ClusterEvent, ClusterMetrics,
-        ClusterServer, ClusterSim, ClusterSpec, Fleet, ReplicaAccumulator, Scenario, Scheduler,
-        ShardedClusterSim, Sim, SimBuilder,
+        find_scenario, ArrivalProcess, ArrivalSampler, ChurnConfig, ClusterMetrics, ClusterServer,
+        ClusterSim, ClusterSpec, Fleet, ReplicaAccumulator, Scenario, ShardedClusterSim, Sim,
+        SimBuilder,
     };
     pub use bnb_core::prelude::*;
     pub use bnb_hashring::{
